@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint contract recovery chaos stream dist verify bench bench-all profile
+.PHONY: build vet test race lint contract recovery chaos stream dist bench-build verify bench bench-all profile
 
 build:
 	$(GO) build ./...
@@ -67,15 +67,25 @@ dist:
 	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr'
 	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal' -count=1
 
+# Benchmark build gate: perfbench/ is its own module built against this
+# repository through a replace directive, so renaming a name it uses
+# passes every other target and breaks only the benchmark. This vets and
+# tests it offline, with the module settings perfbench/run.py builds it
+# with.
+bench-build:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./...
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
+
 # The full pre-merge gate. vet and race cover every package, including
-# internal/obs and the instrumented server/scheduler paths; lint fails
-# on unchecked errors in the durability, server, and jobs layers;
+# internal/obs and the instrumented server paths; lint fails on
+# unchecked errors in the durability, server, and jobs layers;
 # contract keeps the README API table in lockstep with the served
 # routes; recovery re-runs the persist crash-recovery suite by name;
 # chaos re-rolls the randomized fault schedule with a fresh seed;
 # stream re-runs the streaming/SSE/job-durability suite by name; dist
-# re-runs the remote-worker/failover suite by name.
-verify: build vet lint race contract recovery chaos stream dist
+# re-runs the remote-worker/failover suite by name; bench-build builds,
+# vets and tests the benchmark module against this tree.
+verify: build vet lint race contract recovery chaos stream dist bench-build
 
 # Runs the Fig-1 workload (at GOMAXPROCS=1 and =NumCPU), the sharded
 # Fig-1a series, the remote-worker Fig-1a series over loopback HTTP,

@@ -192,22 +192,14 @@ func BenchmarkFig1bRuntimeVsMinsupCoincidence(b *testing.B) {
 }
 
 // BenchmarkFig2aScalabilityDBSize — runtime vs. |D| at fixed support,
-// serial and 4-way-parallel P-TPMiner against TPrefixSpan.
+// P-TPMiner against TPrefixSpan. BenchmarkFig1aSharded is the multi-core
+// series.
 func BenchmarkFig2aScalabilityDBSize(b *testing.B) {
 	const minSup = 0.05
 	for _, d := range benchScale.DBSizes {
 		db := benchQuestDB(b, d, benchScale.C)
 		b.Run(fmt.Sprintf("P-TPMiner/D=%d", d), func(b *testing.B) {
 			opt := benchOpts(minSup)
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.MineTemporal(db, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("P-TPMiner-par4/D=%d", d), func(b *testing.B) {
-			opt := benchOpts(minSup)
-			opt.Parallel = 4
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.MineTemporal(db, opt); err != nil {
 					b.Fatal(err)

@@ -20,9 +20,7 @@
 //     through remote HTTP worker servers over loopback at
 //     workers ∈ {1,2,4}, measuring the wire tax of distribution
 //     (recorded, not gated — loopback latency is not a deployment's);
-//   - the internal/core micro-benchmarks (projection, counting,
-//     scheduling), whose ParallelScheduling sub-benchmarks yield the
-//     work-stealing-vs-serial speedup on the current machine.
+//   - the internal/core micro-benchmarks (projection and counting).
 //
 // The tool shells out to "go test -bench" and parses the standard
 // benchmark output; it needs no dependencies beyond the Go toolchain.
@@ -109,12 +107,6 @@ type report struct {
 
 	// Micro holds the internal/core hot-path micro-benchmarks.
 	Micro []result `json:"micro"`
-
-	// SchedulingSpeedupVsSerial is ParallelScheduling/Serial ns/op
-	// divided by ParallelScheduling/WorkStealing ns/op on this machine
-	// (≈1.0 on a single-core runner; the equivalence tests still
-	// exercise the scheduler there).
-	SchedulingSpeedupVsSerial float64 `json:"scheduling_speedup_vs_serial,omitempty"`
 
 	// MinWorkloadSpeedup is the smallest speedup_vs_baseline across the
 	// workload benchmarks — the headline "the serial hot path got at
@@ -235,24 +227,12 @@ func run(args []string) error {
 		rep.RemoteOverheadVsSharded = round2(shardNs[4] / remote1)
 	}
 
-	micro, err := runBench("./internal/core/", "ProjectTemporal|CountTemporal|ProjectCoinc|ParallelScheduling", "", 0)
+	micro, err := runBench("./internal/core/", "ProjectTemporal|CountTemporal|ProjectCoinc", "", 0)
 	if err != nil {
 		return err
 	}
 	rep.Micro = micro
 
-	var wsNs, serialNs float64
-	for _, r := range micro {
-		switch r.Name {
-		case "ParallelScheduling/WorkStealing":
-			wsNs = r.NsPerOp
-		case "ParallelScheduling/Serial":
-			serialNs = r.NsPerOp
-		}
-	}
-	if wsNs > 0 && serialNs > 0 {
-		rep.SchedulingSpeedupVsSerial = round2(serialNs / wsNs)
-	}
 	for _, r := range rep.Workload {
 		if r.SpeedupVsBaseline <= 0 {
 			continue

@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -63,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxElems  = fs.Int("max-elements", 0, "max elements per pattern (0 = unlimited)")
 		maxSpan   = fs.Int64("max-span", 0, "max embedding time span, temporal only (0 = unlimited)")
 		maxGap    = fs.Int64("max-gap", 0, "max time gap between consecutive elements, temporal only (0 = unlimited)")
-		parallel  = fs.Int("parallel", runtime.NumCPU(), "worker goroutines for ptpminer (default: all CPUs; 1 = serial)")
 		timeout   = fs.Duration("timeout", 0, "abort mining after this duration, ptpminer only (0 = unlimited)")
 		maxPats   = fs.Int("max-patterns", 0, "stop after emitting this many patterns, ptpminer only (0 = unlimited)")
 		topk      = fs.Int("topk", 0, "mine only the k best-supported patterns (threshold flags become a floor)")
@@ -110,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		MaxElements:  *maxElems,
 		MaxSpan:      *maxSpan,
 		MaxGap:       *maxGap,
-		Parallel:     *parallel,
 		MaxPatterns:  *maxPats,
 	}
 
@@ -337,8 +334,4 @@ func printStats(w io.Writer, enabled bool, n int, st core.Stats) {
 	fmt.Fprintf(w, "sequences=%d mincount=%d patterns=%d emitted=%d nodes=%d scans=%d pruned(p1_items=%d p2_pair=%d p3_postfix=%d p4_size=%d) elapsed=%s\n",
 		st.Sequences, st.MinCount, n, st.Emitted, st.Nodes, st.CandidateScans,
 		st.ItemsRemoved, st.PairPruned, st.PostfixPruned, st.SizePruned, st.Elapsed)
-	if st.JobsSpawned > 0 {
-		fmt.Fprintf(w, "sched: jobs_spawned=%d steals_taken=%d max_queue_depth=%d\n",
-			st.JobsSpawned, st.StealsTaken, st.MaxQueueDepth)
-	}
 }

@@ -166,8 +166,10 @@ type MineSpec struct {
 	TimeBudgetMillis int64 `json:"time_budget_ms,omitempty"`
 	MaxPatterns      int   `json:"max_patterns,omitempty"`
 
-	// Parallel requests worker goroutines for the search, capped at the
-	// server's MaxParallel ceiling. Absent or 0 mines serially.
+	// Parallel is deprecated and ignored: every mine runs the serial
+	// search, spread over cores only by sharding. It is still accepted
+	// and validated (≥ 0, absent in rules mode) so existing clients that
+	// send it keep working.
 	Parallel int `json:"parallel,omitempty"`
 
 	// Rule thresholds (rules mode only).
@@ -284,14 +286,14 @@ func (req MineSpec) Validate() error {
 }
 
 // ResultOptions canonicalizes the result-determining options into the
-// cache-key/ETag string. Execution knobs — timeout_ms, time_budget_ms,
-// parallel — are deliberately excluded: they change how long the search
-// may run, never what a complete run returns (parallel runs are
-// result-equivalent, and truncated runs are never cached), so requests
-// differing only in those share one entry. max_patterns is included
-// because a complete run under a cap is only known equivalent to an
-// uncapped one at the same cap. The window is included: a windowed mine
-// is a different result than a whole-dataset one at the same version.
+// cache-key/ETag string. Execution knobs — timeout_ms, time_budget_ms
+// and the ignored parallel — are deliberately excluded: they change how
+// long the search may run, never what a complete run returns (truncated
+// runs are never cached), so requests differing only in those share one
+// entry. max_patterns is included because a complete run under a cap is
+// only known equivalent to an uncapped one at the same cap. The window
+// is included: a windowed mine is a different result than a
+// whole-dataset one at the same version.
 func (req MineSpec) ResultOptions() string {
 	mode := req.ResolvedMode()
 	if mode == ModeRules {
@@ -305,15 +307,10 @@ func (req MineSpec) ResultOptions() string {
 		req.MaxPatterns, req.Window.key())
 }
 
-// Options converts the spec to miner options, capping the requested
-// parallelism at the server ceiling.
-func (req MineSpec) Options(maxParallel int) core.Options {
-	par := req.Parallel
-	if par > maxParallel {
-		par = maxParallel
-	}
+// Options converts the spec to miner options. Its argument is
+// deprecated and ignored; it once capped the parallel field.
+func (req MineSpec) Options(int) core.Options {
 	return core.Options{
-		Parallel:           par,
 		MinSupport:         req.MinSupport,
 		MinCount:           req.MinCount,
 		MaxIntervals:       req.MaxIntervals,

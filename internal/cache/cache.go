@@ -74,7 +74,7 @@ func (nopMetrics) DegradedHit()   {}
 
 // Key identifies one memoizable result. Options must be a canonical
 // encoding of every result-determining option (and nothing else, so
-// requests differing only in execution knobs — timeouts, parallelism —
+// requests differing only in execution knobs — timeouts, budgets —
 // share an entry).
 type Key struct {
 	Dataset string

@@ -46,16 +46,6 @@ var ctxMiners = []struct {
 		rs, st, err := MineCoincidenceCtx(ctx, db, opt)
 		return len(rs), st, err
 	}},
-	{"temporal-parallel", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
-		opt.Parallel = 4
-		rs, st, err := MineTemporalCtx(ctx, db, opt)
-		return len(rs), st, err
-	}},
-	{"coincidence-parallel", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
-		opt.Parallel = 4
-		rs, st, err := MineCoincidenceCtx(ctx, db, opt)
-		return len(rs), st, err
-	}},
 	{"temporal-topk", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
 		rs, st, err := MineTemporalTopKCtx(ctx, db, 1000, opt)
 		return len(rs), st, err

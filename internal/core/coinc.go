@@ -23,6 +23,12 @@ func MineCoincidence(db *interval.Database, opt Options) ([]pattern.CoincResult,
 // MineCoincidenceCtx is MineCoincidence with cooperative cancellation
 // and resource budgets; see MineTemporalCtx for the contract.
 func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options) ([]pattern.CoincResult, Stats, error) {
+	return mineCoincidence(ctx, db, opt, 0)
+}
+
+// mineCoincidence is the one coincidence search; see mineTemporal for
+// the meaning of k.
+func mineCoincidence(ctx context.Context, db *interval.Database, opt Options, k int) ([]pattern.CoincResult, Stats, error) {
 	start := time.Now()
 	if err := opt.validate(); err != nil {
 		return nil, Stats{}, err
@@ -42,15 +48,16 @@ func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options)
 		stats.ItemsRemoved = enc.FilterInfrequent(minCount) // P1
 	}
 
-	var results []pattern.CoincResult
-	if opt.Parallel > 1 {
-		results = mineCoincParallel(enc, opt, minCount, &stats, ctl, nil)
-	} else {
-		m := newCoincMiner(enc, opt, minCount, ctl)
-		m.mine(initialCoincProjection(enc), 0)
-		stats.add(m.stats)
-		results = m.results
+	m := newCoincMiner(enc, opt, minCount, ctl)
+	m.stats = stats
+	limit := opt.MaxPatterns
+	if k > 0 {
+		m.topk = newTopKState(k, false)
+		limit = k
 	}
+	m.mine(initialCoincProjection(enc), 0)
+	results := m.results
+	stats = m.stats
 
 	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
 	if err != nil {
@@ -59,8 +66,8 @@ func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options)
 	}
 
 	pattern.SortCoincResults(results)
-	if opt.MaxPatterns > 0 && len(results) > opt.MaxPatterns {
-		results = results[:opt.MaxPatterns]
+	if limit > 0 && len(results) > limit {
+		results = results[:limit]
 	}
 	stats.Elapsed = time.Since(start)
 	return results, stats, nil
@@ -102,12 +109,6 @@ type coincMiner struct {
 	// see temporalMiner.projPool.
 	projPool [][]coincProjEntry
 
-	// sched, stealCutoff, and worker are set on parallel runs; see
-	// temporalMiner.
-	sched       *sched[coincJob]
-	stealCutoff int
-	worker      int32
-
 	// ctl is the run-wide cancellation/budget state; ops counts local
 	// work units between polls.
 	ctl *runControl
@@ -144,11 +145,6 @@ func (m *coincMiner) tick() bool {
 func (m *coincMiner) mine(proj []coincProjEntry, depth int) {
 	if m.tick() {
 		return
-	}
-	if m.topk != nil {
-		if f := m.topk.threshold(); f > m.minCount {
-			m.minCount = f
-		}
 	}
 	m.stats.Nodes++
 	if len(m.elems) > 0 {
@@ -283,8 +279,8 @@ func containsItems(haystack, needle []seqdb.Item) bool {
 	return true
 }
 
-// extend projects for candidate c, applies it to the prefix, recurses
-// (or hands the subtree to the shared queue), and restores the prefix.
+// extend projects for candidate c, applies it to the prefix, recurses,
+// and restores the prefix.
 func (m *coincMiner) extend(proj []coincProjEntry, c candidate, depth int) {
 	next := m.project(proj, c, depth)
 	if c.isI {
@@ -293,9 +289,7 @@ func (m *coincMiner) extend(proj []coincProjEntry, c candidate, depth int) {
 	} else {
 		m.elems = append(m.elems, []seqdb.Item{c.item})
 	}
-	if !m.trySteal(next, depth) {
-		m.mine(next, depth+1)
-	}
+	m.mine(next, depth+1)
 	if c.isI {
 		last := len(m.elems) - 1
 		m.elems[last] = m.elems[last][:len(m.elems[last])-1]
@@ -378,40 +372,6 @@ func lowerBound32(a []int32, x int32) int {
 	return lo
 }
 
-// coincJob is one stolen subtree: the prefix elements plus an owned copy
-// of its projected database.
-type coincJob struct {
-	elems [][]seqdb.Item
-	proj  []coincProjEntry
-	depth int
-}
-
-// trySteal offers the subtree under the just-applied extension to the
-// shared queue; see temporalMiner.trySteal. Unlike the temporal miner it
-// is called after the prefix mutation (coinc projection precedes it), so
-// the snapshot is simply the current prefix.
-func (m *coincMiner) trySteal(next []coincProjEntry, depth int) bool {
-	if m.sched == nil || len(next) == 0 || len(next) < m.stealCutoff || m.sched.full() {
-		return false
-	}
-	elems := make([][]seqdb.Item, len(m.elems))
-	for i, el := range m.elems {
-		elems[i] = append([]seqdb.Item(nil), el...)
-	}
-	return m.sched.trySpawn(int(m.worker), coincJob{
-		elems: elems,
-		proj:  append([]coincProjEntry(nil), next...),
-		depth: depth + 1,
-	})
-}
-
-// runJob loads a stolen subtree's prefix state into the worker's miner
-// and searches it.
-func (m *coincMiner) runJob(j coincJob) {
-	m.elems = j.elems
-	m.mine(j.proj, j.depth)
-}
-
 // findItem returns the index of it in the sorted item list, or -1.
 func findItem(items []seqdb.Item, it seqdb.Item) int {
 	lo, hi := 0, len(items)
@@ -448,37 +408,4 @@ func (m *coincMiner) emit(proj []coincProjEntry) {
 	if m.topk != nil {
 		m.minCount = m.topk.observe(res.Pattern.Key(), res.Support, m.minCount)
 	}
-}
-
-// mineCoincParallel runs a work-stealing parallel DFS over the search
-// tree: workers drain a bounded shared queue of subtree jobs, splitting
-// any subtree whose projected database exceeds the steal cutoff. The
-// callers' final sort restores the canonical order, so output is
-// byte-identical to a serial run. tk, when non-nil, is the shared top-k
-// state raising every worker's support threshold.
-func mineCoincParallel(db *seqdb.CoincDB, opt Options, minCount int, stats *Stats, ctl *runControl, tk *topKState) []pattern.CoincResult {
-	workers := opt.Parallel
-	s := newSched[coincJob](workers)
-	cutoff := stealCutoffFor(opt, len(db.Seqs), minCount)
-
-	miners := make([]*coincMiner, workers)
-	for w := range miners {
-		m := newCoincMiner(db, opt, minCount, ctl)
-		m.topk = tk
-		m.sched = s
-		m.stealCutoff = cutoff
-		m.worker = int32(w)
-		miners[w] = m
-	}
-
-	s.trySpawn(rootSpawner, coincJob{proj: initialCoincProjection(db), depth: 0})
-	s.run(workers, func(w int, j coincJob) { miners[w].runJob(j) })
-
-	var out []pattern.CoincResult
-	for _, m := range miners {
-		stats.add(m.stats)
-		out = append(out, m.results...)
-	}
-	stats.addSched(s.counters())
-	return out
 }

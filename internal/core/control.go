@@ -24,9 +24,8 @@ const (
 const pollInterval = 256
 
 // runControl carries the cancellation and budget state of one mining
-// run. It is shared by every worker of a parallel run: the first worker
-// to observe a stop condition records it and flips the stop flag, which
-// all workers read on their next work unit.
+// run: the first poll or emission to observe a stop condition records it
+// and flips the stop flag, which the search reads on its next work unit.
 type runControl struct {
 	ctx         context.Context
 	deadline    time.Time // zero when no TimeBudget

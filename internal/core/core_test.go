@@ -26,7 +26,6 @@ func TestOptionsValidation(t *testing.T) {
 		{MinSupport: 1.5},  // > 1
 		{MinCount: -1},     // negative count
 		{MinCount: 1, MaxSpan: -1},
-		{MinCount: 1, Parallel: -2},
 		{MinCount: 1, MaxElements: -1},
 	}
 	for i, opt := range bad {

@@ -157,119 +157,3 @@ func TestAprioriMatchesOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelMatchesSerial checks that the parallel miners return the
-// same results as their serial counterparts on larger random inputs,
-// across worker counts and both raw and normalized semantics.
-func TestParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 5; trial++ {
-		db := randomDB(rng, 20, 6, 4, 30)
-		for _, keepOcc := range []bool{true, false} {
-			serial := core.Options{MinCount: 3, KeepOccurrences: keepOcc}
-			wantT, _, err := core.MineTemporal(db, serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantC, _, err := core.MineCoincidence(db, serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				par := serial
-				par.Parallel = workers
-
-				gotT, _, err := core.MineTemporal(db, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !pattern.TemporalResultsEqual(gotT, wantT) {
-					t.Fatalf("trial %d (parallel=%d keepOcc=%v): parallel temporal differs: %d vs %d patterns",
-						trial, workers, keepOcc, len(gotT), len(wantT))
-				}
-
-				gotC, _, err := core.MineCoincidence(db, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !pattern.CoincResultsEqual(gotC, wantC) {
-					t.Fatalf("trial %d (parallel=%d keepOcc=%v): parallel coincidence differs: %d vs %d patterns",
-						trial, workers, keepOcc, len(gotC), len(wantC))
-				}
-			}
-		}
-	}
-}
-
-// TestParallelClosedMaximal: the closed/maximal post-filters run on
-// parallel-mined results must match the serial pipeline exactly — the
-// filters are downstream of mining, so any divergence would mean the
-// parallel result sets differ.
-func TestParallelClosedMaximal(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 3; trial++ {
-		db := randomDB(rng, 20, 6, 4, 30)
-		serial := core.Options{MinCount: 3}
-		rsSerial, _, err := core.MineTemporal(db, serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantClosed := core.FilterClosed(rsSerial)
-		wantMaximal := core.FilterMaximal(rsSerial)
-
-		for _, workers := range []int{2, 4, 8} {
-			par := serial
-			par.Parallel = workers
-			rsPar, _, err := core.MineTemporal(db, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := core.FilterClosed(rsPar); !pattern.TemporalResultsEqual(got, wantClosed) {
-				t.Fatalf("trial %d (parallel=%d): closed filter differs: %d vs %d", trial, workers, len(got), len(wantClosed))
-			}
-			if got := core.FilterMaximal(rsPar); !pattern.TemporalResultsEqual(got, wantMaximal) {
-				t.Fatalf("trial %d (parallel=%d): maximal filter differs: %d vs %d", trial, workers, len(got), len(wantMaximal))
-			}
-		}
-	}
-}
-
-// TestParallelTopKMatchesSerial: top-k mining honors Options.Parallel
-// and returns exactly the serial top-k result for every worker count.
-func TestParallelTopKMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 3; trial++ {
-		db := randomDB(rng, 20, 6, 4, 30)
-		for _, k := range []int{1, 5, 25} {
-			serial := core.Options{MinCount: 2}
-			wantT, _, err := core.MineTemporalTopK(db, k, serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantC, _, err := core.MineCoincidenceTopK(db, k, serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				par := serial
-				par.Parallel = workers
-				gotT, _, err := core.MineTemporalTopK(db, k, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !pattern.TemporalResultsEqual(gotT, wantT) {
-					t.Fatalf("trial %d k=%d parallel=%d: temporal top-k differs: %d vs %d",
-						trial, k, workers, len(gotT), len(wantT))
-				}
-				gotC, _, err := core.MineCoincidenceTopK(db, k, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !pattern.CoincResultsEqual(gotC, wantC) {
-					t.Fatalf("trial %d k=%d parallel=%d: coincidence top-k differs: %d vs %d",
-						trial, k, workers, len(gotC), len(wantC))
-				}
-			}
-		}
-	}
-}

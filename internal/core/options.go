@@ -91,19 +91,6 @@ type Options struct {
 	DisablePairPruning    bool // P2
 	DisablePostfixPruning bool // P3
 	DisableSizePruning    bool // P4
-
-	// Parallel is the number of worker goroutines of the work-stealing
-	// parallel DFS: workers drain a shared queue of subtree jobs and any
-	// worker splits off subtrees whose projected database is large
-	// enough to be worth sharing. Results are identical to a serial run.
-	// 0 or 1 mines serially. Honored by all miners, including top-k.
-	Parallel int
-
-	// stealCutoff overrides the minimum projected-database size at which
-	// a subtree is offered to other workers. 0 uses the built-in
-	// heuristic (see stealCutoffFor). Unexported: a white-box test knob
-	// to force stealing on tiny databases.
-	stealCutoff int
 }
 
 // ResolveMinCount converts the options' support threshold into an
@@ -149,9 +136,6 @@ func (o Options) validate() error {
 	}
 	if o.MaxGap < 0 {
 		return fmt.Errorf("core: negative MaxGap %d", o.MaxGap)
-	}
-	if o.Parallel < 0 {
-		return fmt.Errorf("core: negative Parallel %d", o.Parallel)
 	}
 	if o.MaxPatterns < 0 {
 		return fmt.Errorf("core: negative MaxPatterns %d", o.MaxPatterns)

@@ -2,21 +2,18 @@ package core
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"tpminer/internal/gen"
 	"tpminer/internal/interval"
-	"tpminer/internal/pattern"
 	"tpminer/internal/seqdb"
 )
 
 // Micro-benchmarks of the mining hot path — projection and candidate
-// counting in isolation — plus a head-to-head of the work-stealing
-// scheduler against a static first-level fan-out reference. The former
-// two are what the dense position index and the depth-indexed projection
-// pools optimize; run them with -benchmem to see the allocation counts.
+// counting in isolation. They are what the dense position index and the
+// depth-indexed projection pools optimize; run them with -benchmem to
+// see the allocation counts.
 
 func benchDB(b *testing.B) *interval.Database {
 	b.Helper()
@@ -105,81 +102,4 @@ func BenchmarkProjectCoinc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.project(proj, c, 0)
 	}
-}
-
-// staticFanoutTemporal is the scheduling strategy this PR replaced, kept
-// here as a benchmark reference: the root's candidates are dealt out to
-// workers once, and each subtree is mined serially no matter how skewed
-// the work distribution turns out to be.
-func staticFanoutTemporal(db *seqdb.EndpointDB, opt Options, minCount int, ctl *runControl) []pattern.TemporalResult {
-	root := newTemporalMiner(db, opt, minCount, ctl)
-	proj := initialTemporalProjection(db)
-	cands := root.countCandidates(proj, true, false, true)
-
-	jobs := make(chan int)
-	workerResults := make([][]pattern.TemporalResult, len(cands))
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := newTemporalMiner(db, opt, minCount, ctl)
-			for idx := range jobs {
-				m.results = nil
-				m.extend(proj, cands[idx], 0)
-				workerResults[idx] = m.results
-			}
-		}()
-	}
-	for i := range cands {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	var out []pattern.TemporalResult
-	for _, rs := range workerResults {
-		out = append(out, rs...)
-	}
-	return out
-}
-
-// BenchmarkParallelScheduling compares the work-stealing DFS against the
-// static first-level fan-out on a skewed search space (explosiveDB's
-// subtree sizes fall off steeply across first-level candidates, so a
-// static deal leaves workers idle while one grinds the big subtree).
-// Meaningful with GOMAXPROCS > 1.
-func BenchmarkParallelScheduling(b *testing.B) {
-	db := explosiveDB(48, 9)
-	opt := Options{MinCount: db.Len(), Parallel: 4}
-	minCount := db.Len()
-	enc, err := seqdb.EncodeEndpointDB(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc.FilterInfrequent(minCount)
-
-	b.Run("WorkStealing", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctl := newRunControl(context.Background(), opt, time.Now())
-			var stats Stats
-			mineTemporalParallel(enc, opt, minCount, &stats, ctl, nil)
-		}
-	})
-	b.Run("StaticFanout", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctl := newRunControl(context.Background(), opt, time.Now())
-			staticFanoutTemporal(enc, opt, minCount, ctl)
-		}
-	})
-	b.Run("Serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctl := newRunControl(context.Background(), opt, time.Now())
-			m := newTemporalMiner(enc, opt, minCount, ctl)
-			m.mine(initialTemporalProjection(enc), 0)
-		}
-	})
 }

@@ -12,35 +12,33 @@ import (
 )
 
 // TestMinerDeterminism: identical inputs produce byte-identical result
-// lists, serial and parallel, both pattern types.
+// lists, both pattern types.
 func TestMinerDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 5; trial++ {
 		db := randomDB(rng, 15, 6, 3, 25)
-		for _, par := range []int{0, 2, 4, 8} {
-			opt := core.Options{MinCount: 2, Parallel: par}
-			a, _, err := core.MineTemporal(db, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := core.MineTemporal(db, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("temporal mining not deterministic (parallel=%d)", par)
-			}
-			ca, _, err := core.MineCoincidence(db, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb, _, err := core.MineCoincidence(db, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ca, cb) {
-				t.Fatalf("coincidence mining not deterministic (parallel=%d)", par)
-			}
+		opt := core.Options{MinCount: 2}
+		a, _, err := core.MineTemporal(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := core.MineTemporal(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("temporal mining not deterministic")
+		}
+		ca, _, err := core.MineCoincidence(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, _, err := core.MineCoincidence(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ca, cb) {
+			t.Fatal("coincidence mining not deterministic")
 		}
 	}
 }

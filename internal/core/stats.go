@@ -13,15 +13,6 @@ import "time"
 //   - PostfixPruned counts projected sequences dropped by P3.
 //   - SizePruned counts nodes cut by P4.
 //   - ItemsRemoved counts item ids removed by P1.
-//
-// Parallel runs additionally report scheduler counters (zero on serial
-// runs):
-//
-//   - JobsSpawned counts subtrees handed to the shared work queue,
-//     including the root seed.
-//   - StealsTaken counts queued subtrees executed by a worker other than
-//     the one that spawned them — the actual load-balancing events.
-//   - MaxQueueDepth is the high-water mark of the shared queue.
 type Stats struct {
 	Sequences      int
 	MinCount       int
@@ -32,9 +23,6 @@ type Stats struct {
 	PairPruned     int64
 	PostfixPruned  int64
 	SizePruned     int64
-	JobsSpawned    int64
-	StealsTaken    int64
-	MaxQueueDepth  int64
 	Elapsed        time.Duration
 
 	// Truncated reports that the search stopped before exhausting the
@@ -43,23 +31,4 @@ type Stats struct {
 	// by the mining call instead, never as a truncation.
 	Truncated   bool
 	TruncatedBy string
-}
-
-// add accumulates worker-local stats into s (used by the parallel miner).
-// Scheduler counters are run-global — they live on the shared queue, not
-// per worker — and are copied in once by addSched.
-func (s *Stats) add(w Stats) {
-	s.Nodes += w.Nodes
-	s.Emitted += w.Emitted
-	s.CandidateScans += w.CandidateScans
-	s.PairPruned += w.PairPruned
-	s.PostfixPruned += w.PostfixPruned
-	s.SizePruned += w.SizePruned
-}
-
-// addSched copies a finished run's scheduler counters into s.
-func (s *Stats) addSched(spawned, steals, maxDepth int64) {
-	s.JobsSpawned = spawned
-	s.StealsTaken = steals
-	s.MaxQueueDepth = maxDepth
 }

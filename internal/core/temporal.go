@@ -26,6 +26,14 @@ func MineTemporal(db *interval.Database, opt Options) ([]pattern.TemporalResult,
 // errors — they return the patterns found so far with Stats.Truncated
 // set.
 func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([]pattern.TemporalResult, Stats, error) {
+	return mineTemporal(ctx, db, opt, 0)
+}
+
+// mineTemporal is the one temporal search: encode, P1, the depth-first
+// search, then normalize/sort and cut the result list. k > 0 makes it a
+// top-k search whose threshold rises to the running kth-best support and
+// whose result list is cut at k; otherwise it is cut at MaxPatterns.
+func mineTemporal(ctx context.Context, db *interval.Database, opt Options, k int) ([]pattern.TemporalResult, Stats, error) {
 	start := time.Now()
 	if err := opt.validate(); err != nil {
 		return nil, Stats{}, err
@@ -45,15 +53,16 @@ func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([
 		stats.ItemsRemoved = enc.FilterInfrequent(minCount) // P1
 	}
 
-	var results []pattern.TemporalResult
-	if opt.Parallel > 1 {
-		results = mineTemporalParallel(enc, opt, minCount, &stats, ctl, nil)
-	} else {
-		m := newTemporalMiner(enc, opt, minCount, ctl)
-		m.mine(initialTemporalProjection(enc), 0)
-		stats.add(m.stats)
-		results = m.results
+	m := newTemporalMiner(enc, opt, minCount, ctl)
+	m.stats = stats
+	limit := opt.MaxPatterns
+	if k > 0 {
+		m.topk = newTopKState(k, !opt.KeepOccurrences)
+		limit = k
 	}
+	m.mine(initialTemporalProjection(enc), 0)
+	results := m.results
+	stats = m.stats
 
 	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
 	if err != nil {
@@ -66,8 +75,8 @@ func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([
 	} else {
 		pattern.SortTemporalResults(results)
 	}
-	if opt.MaxPatterns > 0 && len(results) > opt.MaxPatterns {
-		results = results[:opt.MaxPatterns]
+	if limit > 0 && len(results) > limit {
+		results = results[:limit]
 	}
 	stats.Elapsed = time.Since(start)
 	return results, stats, nil
@@ -100,7 +109,7 @@ type openInterval struct {
 	start, finish seqdb.Item
 }
 
-// temporalMiner holds the depth-first search state for one worker.
+// temporalMiner holds the depth-first search state of one run.
 type temporalMiner struct {
 	db       *seqdb.EndpointDB
 	opt      Options
@@ -129,15 +138,6 @@ type temporalMiner struct {
 	// must grow). Buffers are used strictly stack-like: at most one live
 	// projection per depth.
 	projPool [][]projEntry
-
-	// sched and stealCutoff are set on parallel runs: subtrees whose
-	// projected database reaches the cutoff are offered to the shared
-	// queue instead of being recursed into. worker is this miner's index
-	// in the pool, recorded on spawned jobs so the scheduler can count
-	// steals.
-	sched       *sched[temporalJob]
-	stealCutoff int
-	worker      int32
 
 	// topk, when non-nil, raises minCount dynamically (top-k mining).
 	topk *topKState
@@ -190,11 +190,6 @@ type candidate struct {
 func (m *temporalMiner) mine(proj []projEntry, depth int) {
 	if m.tick() {
 		return
-	}
-	if m.topk != nil {
-		if f := m.topk.threshold(); f > m.minCount {
-			m.minCount = f
-		}
 	}
 	m.stats.Nodes++
 	if len(m.elems) > 0 && len(m.open) == 0 && len(proj) >= m.minCount {
@@ -315,8 +310,8 @@ func (m *temporalMiner) valid(it seqdb.Item) bool {
 	return m.isOpen(m.db.Pair[it])
 }
 
-// extend applies candidate c to the prefix, projects, recurses (or hands
-// the subtree to the shared queue), and restores the prefix state.
+// extend applies candidate c to the prefix, projects, recurses, and
+// restores the prefix state.
 func (m *temporalMiner) extend(proj []projEntry, c candidate, depth int) {
 	// Mutate prefix state.
 	if c.isI {
@@ -345,7 +340,7 @@ func (m *temporalMiner) extend(proj []projEntry, c candidate, depth int) {
 	}
 
 	next := m.project(proj, c, depth)
-	if len(next) > 0 && !m.trySteal(next, depth) {
+	if len(next) > 0 {
 		m.mine(next, depth+1)
 	}
 
@@ -441,46 +436,6 @@ func (m *temporalMiner) project(proj []projEntry, c candidate, depth int) []proj
 	return out
 }
 
-// temporalJob is one stolen subtree: a snapshot of the prefix state plus
-// an owned copy of its projected database.
-type temporalJob struct {
-	elems      [][]seqdb.Item
-	open       []openInterval
-	nIntervals int
-	proj       []projEntry
-	depth      int
-}
-
-// trySteal offers the subtree under the just-applied extension to the
-// shared queue. It returns true when the subtree was handed off (the
-// caller skips recursion). Serial runs (no scheduler) and small subtrees
-// always return false.
-func (m *temporalMiner) trySteal(next []projEntry, depth int) bool {
-	if m.sched == nil || len(next) < m.stealCutoff || m.sched.full() {
-		return false
-	}
-	elems := make([][]seqdb.Item, len(m.elems))
-	for i, el := range m.elems {
-		elems[i] = append([]seqdb.Item(nil), el...)
-	}
-	return m.sched.trySpawn(int(m.worker), temporalJob{
-		elems:      elems,
-		open:       append([]openInterval(nil), m.open...),
-		nIntervals: m.nIntervals,
-		proj:       append([]projEntry(nil), next...),
-		depth:      depth + 1,
-	})
-}
-
-// runJob loads a stolen subtree's prefix state into the worker's miner
-// and searches it.
-func (m *temporalMiner) runJob(j temporalJob) {
-	m.elems = j.elems
-	m.open = j.open
-	m.nIntervals = j.nIntervals
-	m.mine(j.proj, j.depth)
-}
-
 // emit records the current (complete) prefix as a result.
 func (m *temporalMiner) emit(proj []projEntry) {
 	m.stats.Emitted++
@@ -501,36 +456,4 @@ func (m *temporalMiner) emit(proj []projEntry) {
 	if m.topk != nil {
 		m.minCount = m.topk.observe(m.topk.key(res.Pattern), res.Support, m.minCount)
 	}
-}
-
-// mineTemporalParallel runs the work-stealing parallel search: workers
-// drain a bounded shared queue seeded with the root subtree, and any
-// worker enqueues a subtree when its projected database reaches the
-// steal cutoff (see sched.go). tk, when non-nil, is the shared top-k
-// threshold state. The callers' final normalize/sort pass makes the
-// merged output byte-identical to a serial run.
-func mineTemporalParallel(db *seqdb.EndpointDB, opt Options, minCount int, stats *Stats, ctl *runControl, tk *topKState) []pattern.TemporalResult {
-	workers := opt.Parallel
-	s := newSched[temporalJob](workers)
-	s.trySpawn(rootSpawner, temporalJob{proj: initialTemporalProjection(db), depth: 0})
-
-	cutoff := stealCutoffFor(opt, len(db.Seqs), minCount)
-	miners := make([]*temporalMiner, workers)
-	for w := range miners {
-		m := newTemporalMiner(db, opt, minCount, ctl)
-		m.topk = tk
-		m.sched = s
-		m.stealCutoff = cutoff
-		m.worker = int32(w)
-		miners[w] = m
-	}
-	s.run(workers, func(w int, j temporalJob) { miners[w].runJob(j) })
-
-	var out []pattern.TemporalResult
-	for _, m := range miners {
-		stats.add(m.stats)
-		out = append(out, m.results...)
-	}
-	stats.addSched(s.counters())
-	return out
 }

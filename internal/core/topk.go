@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
-	"tpminer/internal/seqdb"
 )
 
 // Top-k mining (extension beyond the two-page paper): instead of a fixed
@@ -21,10 +19,6 @@ import (
 //
 // Ties at the kth support are cut deterministically by the standard
 // result order (descending support, ascending size, lexicographic key).
-// Top-k honors Options.Parallel: parallel workers share one topKState
-// whose threshold rises monotonically toward the true kth-best support,
-// so no top-k pattern is ever pruned and the final sort+truncate yields
-// the same result set as a serial run.
 
 // MineTemporalTopK returns the k best-supported temporal patterns.
 // Distinctness is counted on normalized patterns unless
@@ -36,59 +30,11 @@ func MineTemporalTopK(db *interval.Database, k int, opt Options) ([]pattern.Temp
 // MineTemporalTopKCtx is MineTemporalTopK with cooperative cancellation
 // and resource budgets; see MineTemporalCtx for the contract.
 func MineTemporalTopKCtx(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	start := time.Now()
-	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
-	}
-	if opt.MinCount == 0 && opt.MinSupport == 0 {
-		opt.MinCount = 1
-	}
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	minCount, err := opt.resolveMinCount(db.Len())
+	opt, err := topKOptions(k, opt)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	enc, err := seqdb.EncodeEndpointDB(db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	ctl := newRunControl(ctx, opt, start)
-	stats := Stats{Sequences: db.Len(), MinCount: minCount}
-	if !opt.DisableGlobalPruning {
-		stats.ItemsRemoved = enc.FilterInfrequent(minCount)
-	}
-
-	tk := newTopKState(k, !opt.KeepOccurrences)
-	var results []pattern.TemporalResult
-	if opt.Parallel > 1 {
-		results = mineTemporalParallel(enc, opt, minCount, &stats, ctl, tk)
-	} else {
-		m := newTemporalMiner(enc, opt, minCount, ctl)
-		m.topk = tk
-		m.mine(initialTemporalProjection(enc), 0)
-		stats.add(m.stats)
-		results = m.results
-	}
-
-	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-
-	if !opt.KeepOccurrences {
-		results = pattern.NormalizeTemporalResults(results)
-	} else {
-		pattern.SortTemporalResults(results)
-	}
-	if len(results) > k {
-		results = results[:k]
-	}
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return mineTemporal(ctx, db, opt, k)
 }
 
 // MineCoincidenceTopK returns the k best-supported coincidence patterns.
@@ -100,55 +46,23 @@ func MineCoincidenceTopK(db *interval.Database, k int, opt Options) ([]pattern.C
 // cancellation and resource budgets; see MineTemporalCtx for the
 // contract.
 func MineCoincidenceTopKCtx(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
-	start := time.Now()
+	opt, err := topKOptions(k, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return mineCoincidence(ctx, db, opt, k)
+}
+
+// topKOptions checks k and starts the search at support 1 when the
+// options set no threshold.
+func topKOptions(k int, opt Options) (Options, error) {
 	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
+		return opt, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
 	}
 	if opt.MinCount == 0 && opt.MinSupport == 0 {
 		opt.MinCount = 1
 	}
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	minCount, err := opt.resolveMinCount(db.Len())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	enc, err := seqdb.EncodeCoincidenceDB(db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	ctl := newRunControl(ctx, opt, start)
-	stats := Stats{Sequences: db.Len(), MinCount: minCount}
-	if !opt.DisableGlobalPruning {
-		stats.ItemsRemoved = enc.FilterInfrequent(minCount)
-	}
-
-	tk := newTopKState(k, false)
-	var results []pattern.CoincResult
-	if opt.Parallel > 1 {
-		results = mineCoincParallel(enc, opt, minCount, &stats, ctl, tk)
-	} else {
-		m := newCoincMiner(enc, opt, minCount, ctl)
-		m.topk = tk
-		m.mine(initialCoincProjection(enc), 0)
-		stats.add(m.stats)
-		results = m.results
-	}
-
-	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-
-	pattern.SortCoincResults(results)
-	if len(results) > k {
-		results = results[:k]
-	}
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return opt, nil
 }
 
 // topKState drives dynamic threshold raising. It tracks the supports of
@@ -161,12 +75,10 @@ func MineCoincidenceTopKCtx(ctx context.Context, db *interval.Database, k int, o
 // which only makes the threshold conservative — completeness is never
 // at risk.
 //
-// The state is shared across the workers of a parallel run: seen/heap
-// updates are mutex-guarded, and the effective threshold is published
-// through an atomic floor that only ever rises. Since the floor is at
-// all times ≤ the true kth-best support, a worker pruning at the floor
-// can never discard a top-k pattern, and the deterministic final
-// sort+truncate makes parallel output identical to serial.
+// seen/heap updates are mutex-guarded, and the effective threshold is
+// published through an atomic floor that only ever rises. Since the
+// floor is at all times ≤ the true kth-best support, a search pruning at
+// the floor can never discard a top-k pattern.
 type topKState struct {
 	k         int
 	normalize bool
@@ -182,13 +94,8 @@ func newTopKState(k int, normalize bool) *topKState {
 	return &topKState{k: k, normalize: normalize, seen: make(map[string]struct{}, k)}
 }
 
-// threshold returns the current dynamic support threshold (0 until k
-// distinct patterns have been observed). Lock-free; safe from any
-// worker.
-func (t *topKState) threshold() int { return int(t.floor.Load()) }
-
 // observe records an emitted pattern's support and returns the (possibly
-// raised) mining threshold for the calling worker.
+// raised) mining threshold for the search.
 func (t *topKState) observe(key string, support, minCount int) int {
 	t.mu.Lock()
 	if _, dup := t.seen[key]; !dup {

@@ -148,12 +148,12 @@ func Fig1b(sc Scale) (*Table, error) {
 // fig2MinSup is the fixed support threshold of the scalability figures.
 const fig2MinSup = 0.05
 
-// Fig2a — runtime vs. database size at fixed minsup, serial and parallel
-// P-TPMiner against TPrefixSpan.
+// Fig2a — runtime vs. database size at fixed minsup, P-TPMiner against
+// TPrefixSpan.
 func Fig2a(sc Scale) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("Fig 2a: scalability vs |D| (C%d-N%d, minsup %s)", sc.C, sc.N, pct(fig2MinSup)),
-		Header: []string{"|D|", "P-TPMiner(ms)", "P-TPMiner-par4(ms)", "TPrefixSpan(ms)", "patterns"},
+		Header: []string{"|D|", "P-TPMiner(ms)", "TPrefixSpan(ms)", "patterns"},
 	}
 	for _, d := range sc.DBSizes {
 		cfg := sc.questConfig()
@@ -167,12 +167,6 @@ func Fig2a(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		optPar := opt
-		optPar.Parallel = 4
-		mPar, err := MeasureTemporal(core.MineTemporal, db, optPar)
-		if err != nil {
-			return nil, err
-		}
 		tpsCell := "-"
 		if sc.BaselineMaxD == 0 || d <= sc.BaselineMaxD {
 			mTPS, err := MeasureTemporal(baseline.TPrefixSpan, db, opt)
@@ -181,7 +175,7 @@ func Fig2a(sc Scale) (*Table, error) {
 			}
 			tpsCell = ms(mTPS.Elapsed)
 		}
-		t.AddRow(strconv.Itoa(d), ms(mSer.Elapsed), ms(mPar.Elapsed), tpsCell,
+		t.AddRow(strconv.Itoa(d), ms(mSer.Elapsed), tpsCell,
 			strconv.Itoa(mSer.Patterns))
 	}
 	return t, nil

@@ -79,17 +79,14 @@ type IncStats struct {
 // absolute MinCount stays fixed, which caps the usable slack) and any
 // pattern constraints. bufferRatio is µ in (0, 1]: smaller buffers more
 // patterns and stretches the interval between full re-mines at the cost
-// of memory. opt.KeepOccurrences and opt.Parallel are managed
-// internally and must be unset.
+// of memory. opt.KeepOccurrences is managed internally and must be
+// unset.
 func NewMiner(opt core.Options, bufferRatio float64) (*Miner, error) {
 	if bufferRatio <= 0 || bufferRatio > 1 {
 		return nil, fmt.Errorf("incremental: buffer ratio %v outside (0,1]", bufferRatio)
 	}
 	if opt.KeepOccurrences {
 		return nil, fmt.Errorf("incremental: KeepOccurrences is managed internally")
-	}
-	if opt.Parallel != 0 {
-		return nil, fmt.Errorf("incremental: Parallel is not supported")
 	}
 	if opt.MaxPatterns != 0 || opt.TimeBudget != 0 {
 		// A truncated re-mine would leave semi-frequent patterns out of

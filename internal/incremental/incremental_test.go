@@ -38,7 +38,6 @@ func TestNewMinerValidation(t *testing.T) {
 		{good, 1.5},
 		{core.Options{}, 0.5},
 		{core.Options{MinSupport: 0.2, KeepOccurrences: true}, 0.5},
-		{core.Options{MinSupport: 0.2, Parallel: 2}, 0.5},
 		// Truncating budgets would break the exactness guarantee.
 		{core.Options{MinSupport: 0.2, MaxPatterns: 10}, 0.5},
 		{core.Options{MinSupport: 0.2, TimeBudget: time.Second}, 0.5},

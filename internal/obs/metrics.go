@@ -255,16 +255,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// SetMax raises the gauge to n if n is larger (a high-water mark).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -70,15 +70,7 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 1 {
 		t.Fatalf("Value = %d, want 1", g.Value())
 	}
-	g.Set(10)
-	g.SetMax(7) // lower: no effect
-	if g.Value() != 10 {
-		t.Errorf("SetMax lowered the gauge to %d", g.Value())
-	}
-	g.SetMax(12)
-	if g.Value() != 12 {
-		t.Errorf("SetMax(12) = %d", g.Value())
-	}
+	g.Set(12)
 	if out := expositionOf(t, r); !strings.Contains(out, "in_flight 12\n") {
 		t.Errorf("exposition: %s", out)
 	}
@@ -193,7 +185,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				g.SetMax(int64(i))
 				h.Observe(float64(i) / 100)
 				v.With(lbl).Inc()
 			}

@@ -144,7 +144,7 @@ func (b *ingestBatcher) ageFlush() {
 	if _, err := b.flushLocked(b.pending); err != nil {
 		if max := 8 * s.cfg.IngestFlushCount; len(b.pending) > max {
 			dropped := len(b.pending) - max
-			b.pending = b.pending[:max]
+			b.pending = append(b.pending[:0], b.pending[dropped:]...)
 			s.met.ingestRejected.Add(uint64(dropped))
 			s.logger.Warn("ingest buffer overflow while store unavailable; dropping oldest-pending events",
 				"dataset", b.dataset, "dropped", dropped, "error", err.Error())

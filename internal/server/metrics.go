@@ -23,8 +23,7 @@ import (
 //     truncations by cause, deadline aborts, and the job-duration
 //     histogram that also drives the 429 Retry-After hint.
 //   - tpmd_miner_*: the search's own counters aggregated across runs —
-//     nodes, candidate scans, the paper's P1–P4 prunings, and the
-//     work-stealing scheduler's spawn/steal/queue-depth numbers.
+//     nodes, candidate scans, and the paper's P1–P4 prunings.
 //   - tpmd_persist_*: the durability subsystem — WAL size and appended
 //     records, fsyncs, snapshot count/duration, and the boot-time
 //     recovery outcome (duration, records replayed, torn-tail
@@ -68,13 +67,10 @@ type serverMetrics struct {
 	mineDeadline  *obs.Counter
 	mineDur       *obs.Histogram
 
-	minerNodes    *obs.Counter
-	minerScans    *obs.Counter
-	minerEmitted  *obs.Counter
-	minerPruned   *obs.CounterVec // technique: p1..p4
-	schedSpawned  *obs.Counter
-	schedSteals   *obs.Counter
-	schedMaxQueue *obs.Gauge
+	minerNodes   *obs.Counter
+	minerScans   *obs.Counter
+	minerEmitted *obs.Counter
+	minerPruned  *obs.CounterVec // technique: p1..p4
 
 	persist    *persistMetrics
 	resilience *resilienceMetrics
@@ -293,12 +289,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		minerPruned: reg.NewCounterVec("tpmd_miner_pruned_total",
 			"Search space cut by the paper's pruning techniques: p1 items removed, p2 pairs, p3 postfixes, p4 undersized projections.",
 			"technique"),
-		schedSpawned: reg.NewCounter("tpmd_miner_sched_jobs_spawned_total",
-			"Subtree jobs offered to the work-stealing queue by parallel runs."),
-		schedSteals: reg.NewCounter("tpmd_miner_sched_steals_total",
-			"Subtree jobs executed by a worker other than their spawner."),
-		schedMaxQueue: reg.NewGauge("tpmd_miner_sched_max_queue_depth",
-			"High-water mark of the work-stealing queue across all runs."),
 
 		persist: &persistMetrics{
 			walBytes: reg.NewGauge("tpmd_persist_wal_bytes",
@@ -412,9 +402,6 @@ func (m *serverMetrics) recordMinerStats(st core.Stats) {
 	m.minerPruned.With("p2").Add(uint64(st.PairPruned))
 	m.minerPruned.With("p3").Add(uint64(st.PostfixPruned))
 	m.minerPruned.With("p4").Add(uint64(st.SizePruned))
-	m.schedSpawned.Add(uint64(st.JobsSpawned))
-	m.schedSteals.Add(uint64(st.StealsTaken))
-	m.schedMaxQueue.SetMax(st.MaxQueueDepth)
 }
 
 // apiLabel reports which API surface served the request: "v1" for the

@@ -97,9 +97,9 @@
 // and latency histograms (labelled by API version), in-flight and
 // backpressure gauges, cache hit/miss/coalesced/eviction counters with a
 // resident-bytes gauge, mining-run outcomes, and the miner's own
-// node/scan/P1–P4-pruning/work-stealing counters. The Retry-After hint
-// on 429 responses is derived from the observed mine-duration histogram.
-// See internal/server/metrics.go for the metric inventory.
+// node/scan/P1–P4-pruning counters. The Retry-After hint on 429
+// responses is derived from the observed mine-duration histogram. See
+// internal/server/metrics.go for the metric inventory.
 //
 // # Sharded mining
 //
@@ -208,13 +208,6 @@ type Config struct {
 	// 413. 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
-	// MaxParallel is the ceiling on per-request mining parallelism:
-	// requests may ask for worker goroutines via the mine request's
-	// "parallel" field, capped at this value — like timeout_ms, a
-	// request can spend less than the ceiling, never more. 0 means
-	// GOMAXPROCS.
-	MaxParallel int
-
 	// CacheBudgetBytes caps the resident bytes of memoized mine/rules
 	// results. 0 means DefaultCacheBudgetBytes; a negative value
 	// disables result caching and single-flight deduplication entirely.
@@ -296,9 +289,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.MaxParallel <= 0 {
-		c.MaxParallel = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheBudgetBytes == 0 {
 		c.CacheBudgetBytes = DefaultCacheBudgetBytes
@@ -1321,8 +1311,7 @@ type MineResponse struct {
 
 // MineStats is the wire form of the search counters: the full pruning
 // breakdown (P1 items_removed, P2 pair_pruned, P3 postfix_pruned, P4
-// size_pruned) and, on parallel runs, the work-stealing scheduler's
-// counters.
+// size_pruned).
 type MineStats struct {
 	Sequences      int   `json:"sequences"`
 	MinCount       int   `json:"min_count"`
@@ -1333,10 +1322,11 @@ type MineStats struct {
 	PairPruned     int64 `json:"pair_pruned"`    // P2
 	PostfixPruned  int64 `json:"postfix_pruned"` // P3
 	SizePruned     int64 `json:"size_pruned"`    // P4
-	// Scheduler counters, present only on parallel runs.
-	JobsSpawned   int64 `json:"jobs_spawned,omitempty"`
-	StealsTaken   int64 `json:"steals_taken,omitempty"`
-	MaxQueueDepth int64 `json:"max_queue_depth,omitempty"`
+	// StealsTaken is always 0, so omitted from responses.
+	//
+	// Deprecated: it counted work-stealing steals, and the miner no
+	// longer steals work.
+	StealsTaken int64 `json:"steals_taken,omitempty"`
 	// ElapsedMillis is the run's wall time in integer milliseconds.
 	ElapsedMillis int64 `json:"elapsed_ms"`
 	// Elapsed is the same duration as a Go duration string.
@@ -1593,19 +1583,20 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, ptype string, req
 	resp = &MineResponse{Dataset: tgt.name, Type: ptype}
 	db := tgt.db
 	co := s.mineCoordinator(tgt)
+	opt := req.Options(0)
 	var st core.Stats
 	switch ptype {
 	case "temporal":
 		var rs []pattern.TemporalResult
 		switch {
 		case co != nil && req.TopK > 0:
-			rs, st, err = co.MineTemporalTopK(ctx, req.TopK, req.Options(s.cfg.MaxParallel))
+			rs, st, err = co.MineTemporalTopK(ctx, req.TopK, opt)
 		case co != nil:
-			rs, st, err = co.MineTemporal(ctx, req.Options(s.cfg.MaxParallel))
+			rs, st, err = co.MineTemporal(ctx, opt)
 		case req.TopK > 0:
-			rs, st, err = core.MineTemporalTopKCtx(ctx, db, req.TopK, req.Options(s.cfg.MaxParallel))
+			rs, st, err = core.MineTemporalTopKCtx(ctx, db, req.TopK, opt)
 		default:
-			rs, st, err = core.MineTemporalCtx(ctx, db, req.Options(s.cfg.MaxParallel))
+			rs, st, err = core.MineTemporalCtx(ctx, db, opt)
 		}
 		if err == nil {
 			switch req.Filter {
@@ -1626,13 +1617,13 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, ptype string, req
 		var rs []pattern.CoincResult
 		switch {
 		case co != nil && req.TopK > 0:
-			rs, st, err = co.MineCoincidenceTopK(ctx, req.TopK, req.Options(s.cfg.MaxParallel))
+			rs, st, err = co.MineCoincidenceTopK(ctx, req.TopK, opt)
 		case co != nil:
-			rs, st, err = co.MineCoincidence(ctx, req.Options(s.cfg.MaxParallel))
+			rs, st, err = co.MineCoincidence(ctx, opt)
 		case req.TopK > 0:
-			rs, st, err = core.MineCoincidenceTopKCtx(ctx, db, req.TopK, req.Options(s.cfg.MaxParallel))
+			rs, st, err = core.MineCoincidenceTopKCtx(ctx, db, req.TopK, opt)
 		default:
-			rs, st, err = core.MineCoincidenceCtx(ctx, db, req.Options(s.cfg.MaxParallel))
+			rs, st, err = core.MineCoincidenceCtx(ctx, db, opt)
 		}
 		if err == nil {
 			switch req.Filter {
@@ -1745,9 +1736,6 @@ func wireStats(st core.Stats) MineStats {
 		PairPruned:     st.PairPruned,
 		PostfixPruned:  st.PostfixPruned,
 		SizePruned:     st.SizePruned,
-		JobsSpawned:    st.JobsSpawned,
-		StealsTaken:    st.StealsTaken,
-		MaxQueueDepth:  st.MaxQueueDepth,
 		ElapsedMillis:  st.Elapsed.Milliseconds(),
 		Elapsed:        st.Elapsed.String(),
 		Truncated:      st.Truncated,

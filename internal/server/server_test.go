@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
+
+	"tpminer/internal/dataio"
+	"tpminer/internal/gen"
 )
 
 const csvBody = `sequence_id,symbol,start,end
@@ -171,56 +173,73 @@ func TestMineVariants(t *testing.T) {
 	}
 }
 
-// TestMineParallelField: the "parallel" request field is honored —
-// results match a serial mine exactly — and the server ceiling caps it
-// rather than rejecting the request, mirroring timeout_ms semantics.
+// TestMineParallelField: "parallel" is a deprecated field kept for wire
+// compatibility and otherwise ignored. With the default Config, on a
+// dataset below the shard floor (20 sequences) and on a sharded one
+// (1000 sequences), every accepted value returns the same body, after
+// normalizing elapsed_ms, and the same ETag. Each value gets a fresh
+// server so every mine is a cache miss. A negative value and parallel in
+// rules mode are still rejected.
 func TestMineParallelField(t *testing.T) {
-	srv := NewWithConfig(nil, Config{MaxConcurrentMines: 32, MaxParallel: 2})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
-
-	_, serialBody := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
-		`{"min_count":2}`)
-	var serial MineResponse
-	if err := json.Unmarshal([]byte(serialBody), &serial); err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []string{
-		`{"min_count":2,"parallel":2}`,
-		`{"min_count":2,"parallel":64}`, // above the ceiling: capped, not rejected
-	} {
-		resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json", req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("parallel mine %s: %d %q", req, resp.StatusCode, body)
-		}
-		var par MineResponse
-		if err := json.Unmarshal([]byte(body), &par); err != nil {
+	datasets := []struct {
+		seqs       int
+		minSupport float64
+	}{{20, 0.3}, {1000, 0.05}}
+	csvs := make([]string, len(datasets))
+	for i, d := range datasets {
+		db, _, err := gen.Quest(gen.QuestConfig{NumSequences: d.seqs, AvgIntervals: 10, NumSymbols: 100, Seed: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Count != serial.Count || !reflect.DeepEqual(par.Patterns, serial.Patterns) {
-			t.Errorf("parallel mine %s differs from serial:\n%+v\nvs\n%+v", req, par.Patterns, serial.Patterns)
+		var b strings.Builder
+		if err := dataio.WriteCSV(&b, db); err != nil {
+			t.Fatal(err)
 		}
+		csvs[i] = b.String()
+	}
+	wantBody := make([]string, len(datasets))
+	wantETag := make([]string, len(datasets))
+	for _, par := range []int{0, 2, 64} {
+		srv := NewWithConfig(nil, Config{})
+		ts := httptest.NewServer(srv.Handler())
+		for i, d := range datasets {
+			url := fmt.Sprintf("%s/v1/datasets/d%d", ts.URL, d.seqs)
+			if resp, body := do(t, "PUT", url, "text/csv", csvs[i]); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("put %d sequences: %d %q", d.seqs, resp.StatusCode, body)
+			}
+			spec := fmt.Sprintf(`{"min_support":%v,"parallel":%d}`, d.minSupport, par)
+			resp, body := do(t, "POST", url+"/mine", "application/json", spec)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("mine %s on %d sequences: %d %q", spec, d.seqs, resp.StatusCode, body)
+			}
+			body, etag := normalizeElapsed(body), resp.Header.Get("ETag")
+			if par == 0 {
+				if etag == "" {
+					t.Fatalf("%d sequences: complete mine carries no ETag", d.seqs)
+				}
+				wantBody[i], wantETag[i] = body, etag
+				continue
+			}
+			if body != wantBody[i] {
+				t.Errorf("%d sequences, parallel=%d: body differs from parallel=0:\n%s\nvs\n%s", d.seqs, par, body, wantBody[i])
+			}
+			if etag != wantETag[i] {
+				t.Errorf("%d sequences, parallel=%d: ETag %s, want %s", d.seqs, par, etag, wantETag[i])
+			}
+		}
+		ts.Close()
+		srv.Close()
 	}
 
-	// Negative worker counts are invalid options.
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
-		`{"min_count":2,"parallel":-1}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative parallel: %d %q", resp.StatusCode, body)
-	}
-}
-
-// TestMineRequestParallelCap: the option conversion clamps at the
-// configured ceiling.
-func TestMineRequestParallelCap(t *testing.T) {
-	cases := []struct{ req, ceil, want int }{
-		{0, 4, 0}, {3, 4, 3}, {4, 4, 4}, {9, 4, 4},
-	}
-	for _, c := range cases {
-		opt := MineRequest{MiningOptions: MiningOptions{MinCount: 1}, Parallel: c.req}.Options(c.ceil)
-		if opt.Parallel != c.want {
-			t.Errorf("options(%d) with ceiling %d: Parallel = %d, want %d", c.req, c.ceil, opt.Parallel, c.want)
+	ts := newTestServer(t)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
+	for _, spec := range []string{
+		`{"min_count":2,"parallel":-1}`,
+		`{"mode":"rules","min_count":2,"parallel":2}`,
+	} {
+		resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", spec)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "parallel") {
+			t.Errorf("%s: %d %q, want a 400 naming parallel", spec, resp.StatusCode, body)
 		}
 	}
 }

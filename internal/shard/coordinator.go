@@ -95,22 +95,14 @@ func (c *Coordinator) totalSeqs() int {
 // shardOpt derives the options one shard mines with: the local bound
 // replaces the global threshold, result caps move to the coordinator
 // (shards must report everything above their bound or the merge loses
-// patterns), temporal results stay raw so supports are additive, and the
-// per-request parallelism budget is split across shards (the fan-out
-// itself already provides K-way concurrency).
-func (c *Coordinator) shardOpt(opt core.Options, kind Kind, bound int) core.Options {
+// patterns), and temporal results stay raw so supports are additive.
+func shardOpt(opt core.Options, kind Kind, bound int) core.Options {
 	local := opt
 	local.MinSupport = 0
 	local.MinCount = bound
 	local.MaxPatterns = 0
 	if kind == KindTemporal {
 		local.KeepOccurrences = true
-	}
-	if opt.Parallel > 1 {
-		local.Parallel = opt.Parallel / len(c.Workers)
-		if local.Parallel < 1 {
-			local.Parallel = 1
-		}
 	}
 	return local
 }
@@ -166,7 +158,7 @@ func (c *Coordinator) mineAll(ctx context.Context, kind Kind, topK, minCount int
 			Shard: i,
 			Kind:  kind,
 			TopK:  topK,
-			Opt:   c.shardOpt(opt, kind, LocalBound(minCount, c.Sizes[i], c.totalSeqs())),
+			Opt:   shardOpt(opt, kind, LocalBound(minCount, c.Sizes[i], c.totalSeqs())),
 		})
 		if c.Met != nil {
 			c.Met.ShardDone(i, time.Since(t0))
@@ -198,11 +190,6 @@ func foldStats(agg *core.Stats, s core.Stats) {
 	agg.PairPruned += s.PairPruned
 	agg.PostfixPruned += s.PostfixPruned
 	agg.SizePruned += s.SizePruned
-	agg.JobsSpawned += s.JobsSpawned
-	agg.StealsTaken += s.StealsTaken
-	if s.MaxQueueDepth > agg.MaxQueueDepth {
-		agg.MaxQueueDepth = s.MaxQueueDepth
-	}
 	if s.Truncated && !agg.Truncated {
 		agg.Truncated = true
 		agg.TruncatedBy = s.TruncatedBy

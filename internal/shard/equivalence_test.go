@@ -74,11 +74,11 @@ func sameCoinc(t *testing.T, label string, got, want []pattern.CoincResult) {
 	}
 }
 
-// TestShardedMatchesSerial mirrors TestParallelMatchesSerial: for every
-// shard count the coordinator's output must be identical — patterns,
-// supports, and ordering — to the serial miner, in both raw and
-// normalized semantics and across threshold styles and span/gap/shape
-// constraints (the constraints exercise the support-completion matcher).
+// TestShardedMatchesSerial: for every shard count the coordinator's
+// output must be identical — patterns, supports, and ordering — to the
+// serial miner, in both raw and normalized semantics and across
+// threshold styles and span/gap/shape constraints (the constraints
+// exercise the support-completion matcher).
 func TestShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	optionSets := []core.Options{
@@ -184,31 +184,6 @@ func TestShardedTopKMatchesSerial(t *testing.T) {
 					sameCoinc(t, label+" coincidence", gotC, wantC)
 				}
 			}
-		}
-	}
-}
-
-// TestShardedParallelWorkers: sharding composes with the per-shard
-// work-stealing parallel DFS (the coordinator splits the request's
-// Parallel budget across shards).
-func TestShardedParallelWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	db := randomDB(rng, 24, 6, 4, 30)
-	serial := core.Options{MinCount: 3}
-	want, _, err := core.MineTemporal(db, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{2, 8} {
-			opt := serial
-			opt.Parallel = workers
-			co := coordinatorFor(db, shards)
-			got, _, err := co.MineTemporal(context.Background(), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTemporal(t, fmt.Sprintf("shards=%d parallel=%d", shards, workers), got, want)
 		}
 	}
 }
