@@ -25,9 +25,10 @@ race:
 	$(GO) test -race ./...
 
 # Route contract: every route the server serves must be documented in
-# the README API reference table (and actually resolve on the mux).
+# the README API reference table (and actually resolve on the mux), and
+# nothing outside /v1 may be served.
 contract:
-	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed'
+	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestOnlyV1Served'
 
 # Crash-recovery gate: the persist fault-injection tests (torn tail,
 # corrupt CRC mid-log, partial snapshot, crash during compaction) and
@@ -80,11 +81,12 @@ bench-build:
 # internal/obs and the instrumented server paths; lint fails on
 # unchecked errors in the durability, server, and jobs layers;
 # contract keeps the README API table in lockstep with the served
-# routes; recovery re-runs the persist crash-recovery suite by name;
-# chaos re-rolls the randomized fault schedule with a fresh seed;
-# stream re-runs the streaming/SSE/job-durability suite by name; dist
-# re-runs the remote-worker/failover suite by name; bench-build builds,
-# vets and tests the benchmark module against this tree.
+# routes and /v1 the only surface; recovery re-runs the persist
+# crash-recovery suite by name; chaos re-rolls the randomized fault
+# schedule with a fresh seed; stream re-runs the
+# streaming/SSE/job-durability suite by name; dist re-runs the
+# remote-worker/failover suite by name; bench-build builds, vets and
+# tests the benchmark module against this tree.
 verify: build vet lint race contract recovery chaos stream dist bench-build
 
 # Runs the Fig-1 workload (at GOMAXPROCS=1 and =NumCPU), the sharded

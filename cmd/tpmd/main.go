@@ -2,8 +2,8 @@
 //
 //	tpmd -addr :8080 -max-mines 8 -mine-timeout 30s
 //
-// Endpoints, all under /v1 (see internal/server for the full API; the
-// unversioned paths remain as deprecated aliases):
+// Endpoints, all under /v1 and nothing outside it (see internal/server
+// for the full API):
 //
 //	PUT    /v1/datasets/{name}         upload a dataset (csv/lines/json body)
 //	POST   /v1/datasets/{name}/events  stream NDJSON event intervals (batched appends)
@@ -51,10 +51,11 @@
 // GET /v1/readyz; per-dataset placement appears on
 // GET /v1/datasets/{name}/shards and traffic as tpmd_remote_* metrics.
 //
-// Complete mine/rules results are memoized in a byte-budgeted LRU and
-// concurrent identical requests collapse into one miner run
-// (single-flight); -cache-budget sizes the cache and -no-cache disables
-// both. Responses carry strong ETags and honor If-None-Match with 304.
+// Complete mine results are rendered to JSON once and memoized as those
+// bytes in a byte-budgeted LRU, and concurrent identical requests
+// collapse into one miner run (single-flight); -cache-budget sizes the
+// cache and -no-cache disables both. Responses carry strong ETags and
+// honor If-None-Match with 304.
 //
 // Durability: with -data-dir (or -store-url) the datasets survive
 // restarts. Every mutation (PUT, append, DELETE) commits to a

@@ -1,6 +1,7 @@
 // Package cache memoizes mining results. P-TPMiner is deterministic for
 // a fixed (database, options) pair, so a mine over an unchanged dataset
-// is perfectly reusable: the cache stores complete results keyed by
+// is perfectly reusable: the cache stores complete results, as the
+// rendered response bytes the caller serves verbatim, keyed by
 // (dataset name, monotonic dataset version, canonicalized options) and
 // serves repeats without touching the miner. Invalidation is exact, not
 // TTL-guessed — every mutation of a dataset bumps its version, which
@@ -9,9 +10,10 @@
 //
 // Two mechanisms share the package:
 //
-//   - A byte-budgeted LRU: entries carry their approximate resident
-//     size; inserting past the budget evicts from the cold end. An entry
-//     larger than the whole budget is not admitted at all.
+//   - A byte-budgeted LRU: an entry's size is the length of its body
+//     plus a fixed per-entry overhead; inserting past the budget evicts
+//     from the cold end. An entry larger than the whole budget is not
+//     admitted at all.
 //   - A single-flight group: N concurrent Do calls for the same key
 //     collapse into one compute whose result fans out to all waiters.
 //     Under a thundering herd of identical requests exactly one miner
@@ -82,21 +84,22 @@ type Key struct {
 	Options string
 }
 
-// entryOverhead approximates the per-entry bookkeeping cost (key
-// strings, list element, map slot) added to the caller-reported size.
-const entryOverhead = 128
+// EntryOverhead approximates the per-entry bookkeeping cost (key
+// strings, list element, map slot) added to the length of each body.
+const EntryOverhead = 128
 
 type entry struct {
 	key  Key
-	val  any
+	body []byte
 	size int64
 }
 
 // flight is one in-progress compute; waiters block on done.
 type flight struct {
-	done chan struct{}
-	val  any
-	err  error
+	done      chan struct{}
+	body      []byte
+	cacheable bool
+	err       error
 }
 
 // Cache is a byte-budgeted LRU result cache fronted by a single-flight
@@ -139,9 +142,9 @@ func (c *Cache) SetDegraded(fn func() bool) {
 	c.mu.Unlock()
 }
 
-// Get returns the cached value for key, if present, marking it recently
+// Get returns the cached body for key, if present, marking it recently
 // used. It does not join or start a flight.
-func (c *Cache) Get(key Key) (any, bool) {
+func (c *Cache) Get(key Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -149,44 +152,47 @@ func (c *Cache) Get(key Key) (any, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return el.Value.(*entry).body, true
 }
 
-// Do returns the value for key, computing it at most once across all
+// Do returns the body for key, computing it at most once across all
 // concurrent callers:
 //
-//   - cached → (value, Hit, nil) immediately;
+//   - cached → (body, true, Hit, nil) immediately;
 //   - another call is already computing key → block until it finishes
-//     (or ctx is done) and share its value and error, outcome Coalesced;
+//     (or ctx is done) and share its body, cacheable flag and error,
+//     outcome Coalesced;
 //   - otherwise run compute, fan the result out to any waiters that
 //     arrived meanwhile, and — iff err is nil and cacheable is true —
 //     store it under key, evicting cold entries past the byte budget.
 //
-// compute reports the value, its approximate resident size in bytes,
-// whether it may be cached, and an error. Compute errors are returned to
-// every caller of the flight but never cached. ctx only bounds the wait
-// of a coalesced caller; the leader's compute governs its own lifetime.
-func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size int64, cacheable bool, err error)) (any, Outcome, error) {
+// compute reports the body, whether it may be cached, and an error; Do
+// passes the cacheable flag on, so callers can tell a complete result
+// from one that was only fanned out. Bodies are shared, never copied:
+// callers must not modify them. Compute errors are returned to every
+// caller of the flight but never cached. ctx only bounds the wait of a
+// coalesced caller; the leader's compute governs its own lifetime.
+func (c *Cache) Do(ctx context.Context, key Key, compute func() (body []byte, cacheable bool, err error)) ([]byte, bool, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		val := el.Value.(*entry).val
+		body := el.Value.(*entry).body
 		degraded := c.degraded
 		c.mu.Unlock()
 		c.met.Hit()
 		if degraded != nil && degraded() {
 			c.met.DegradedHit()
 		}
-		return val, Hit, nil
+		return body, true, Hit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
 		c.met.Coalesced()
 		select {
 		case <-f.done:
-			return f.val, Coalesced, f.err
+			return f.body, f.cacheable, Coalesced, f.err
 		case <-ctx.Done():
-			return nil, Coalesced, ctx.Err()
+			return nil, false, Coalesced, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -207,34 +213,36 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size i
 		f.err = ErrComputeAborted
 		close(f.done)
 	}()
-	val, size, cacheable, err := compute()
+	body, cacheable, err := compute()
 	finished = true
+	cacheable = cacheable && err == nil
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	if err == nil && cacheable {
-		c.insertLocked(key, val, size+entryOverhead)
+	if cacheable {
+		c.insertLocked(key, body)
 	}
 	c.mu.Unlock()
 
-	f.val, f.err = val, err
+	f.body, f.cacheable, f.err = body, cacheable, err
 	close(f.done)
-	return val, Miss, err
+	return body, cacheable, Miss, err
 }
 
-// insertLocked stores (key, val) at the hot end and evicts from the cold
-// end until the budget holds. Oversized values are not admitted.
-func (c *Cache) insertLocked(key Key, val any, size int64) {
+// insertLocked stores (key, body) at the hot end and evicts from the
+// cold end until the budget holds. Oversized bodies are not admitted.
+func (c *Cache) insertLocked(key Key, body []byte) {
+	size := int64(len(body)) + EntryOverhead
 	if size > c.budget {
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
 		c.resident += size - e.size
-		e.val, e.size = val, size
+		e.body, e.size = body, size
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
+		c.items[key] = c.ll.PushFront(&entry{key: key, body: body, size: size})
 		c.resident += size
 	}
 	for c.resident > c.budget {
@@ -284,7 +292,8 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// ResidentBytes returns the approximate bytes held by cached entries.
+// ResidentBytes returns the bytes held by cached entries: their body
+// lengths plus EntryOverhead each.
 func (c *Cache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,14 +29,17 @@ func key(ds string, ver uint64, opt string) Key {
 	return Key{Dataset: ds, Version: ver, Options: opt}
 }
 
-// fill runs a trivially-cacheable compute for key, returning the value.
-func fill(t *testing.T, c *Cache, k Key, val string, size int64) {
+// sized returns a body of n bytes.
+func sized(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
+
+// fill runs a trivially-cacheable compute for key that returns body.
+func fill(t *testing.T, c *Cache, k Key, body []byte) {
 	t.Helper()
-	got, outcome, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
-		return val, size, true, nil
+	got, cacheable, outcome, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		return body, true, nil
 	})
-	if err != nil || got != val || outcome != Miss {
-		t.Fatalf("fill %v: got %v outcome %v err %v", k, got, outcome, err)
+	if err != nil || !bytes.Equal(got, body) || !cacheable || outcome != Miss {
+		t.Fatalf("fill %v: got %q cacheable %v outcome %v err %v", k, got, cacheable, outcome, err)
 	}
 }
 
@@ -43,14 +47,14 @@ func TestHitAfterMiss(t *testing.T) {
 	met := &countingMetrics{}
 	c := New(1<<20, met)
 	k := key("d", 1, "o")
-	fill(t, c, k, "v", 10)
+	fill(t, c, k, []byte("v"))
 
-	got, outcome, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
+	got, cacheable, outcome, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
 		t.Fatal("compute ran on a hit")
-		return nil, 0, false, nil
+		return nil, false, nil
 	})
-	if err != nil || got != "v" || outcome != Hit {
-		t.Fatalf("hit: got %v outcome %v err %v", got, outcome, err)
+	if err != nil || string(got) != "v" || !cacheable || outcome != Hit {
+		t.Fatalf("hit: got %q cacheable %v outcome %v err %v", got, cacheable, outcome, err)
 	}
 	if met.hits.Load() != 1 || met.misses.Load() != 1 {
 		t.Errorf("metrics: hits=%d misses=%d", met.hits.Load(), met.misses.Load())
@@ -66,12 +70,12 @@ func TestDegradedHitAccounting(t *testing.T) {
 	var degraded atomic.Bool
 	c.SetDegraded(degraded.Load)
 	k := key("d", 1, "o")
-	fill(t, c, k, "v", 10)
+	fill(t, c, k, []byte("v"))
 
 	hit := func() {
 		t.Helper()
-		if _, outcome, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
-			return nil, 0, false, errors.New("compute ran on a hit")
+		if _, _, outcome, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+			return nil, false, errors.New("compute ran on a hit")
 		}); err != nil || outcome != Hit {
 			t.Fatalf("outcome %v err %v, want hit", outcome, err)
 		}
@@ -95,29 +99,29 @@ func TestDegradedHitAccounting(t *testing.T) {
 // is a distinct key — exact invalidation without any explicit purge.
 func TestVersionBumpChangesKey(t *testing.T) {
 	c := New(1<<20, nil)
-	fill(t, c, key("d", 1, "o"), "old", 10)
+	fill(t, c, key("d", 1, "o"), []byte("old"))
 
 	ran := false
-	got, outcome, _ := c.Do(context.Background(), key("d", 2, "o"), func() (any, int64, bool, error) {
+	got, _, outcome, _ := c.Do(context.Background(), key("d", 2, "o"), func() ([]byte, bool, error) {
 		ran = true
-		return "new", 10, true, nil
+		return []byte("new"), true, nil
 	})
-	if !ran || got != "new" || outcome != Miss {
-		t.Fatalf("bumped version served stale data: ran=%v got=%v outcome=%v", ran, got, outcome)
+	if !ran || string(got) != "new" || outcome != Miss {
+		t.Fatalf("bumped version served stale data: ran=%v got=%q outcome=%v", ran, got, outcome)
 	}
 }
 
 func TestLRUEvictionByBudget(t *testing.T) {
 	met := &countingMetrics{}
-	// Room for two entries of size 100 (+overhead each).
-	c := New(2*(100+entryOverhead), met)
+	// Room for two 100-byte bodies (+overhead each).
+	c := New(2*(100+EntryOverhead), met)
 	k1, k2, k3 := key("d", 1, "a"), key("d", 1, "b"), key("d", 1, "c")
-	fill(t, c, k1, "1", 100)
-	fill(t, c, k2, "2", 100)
+	fill(t, c, k1, sized(100))
+	fill(t, c, k2, sized(100))
 	if _, ok := c.Get(k1); !ok { // touch k1 so k2 is coldest
 		t.Fatal("k1 missing before eviction")
 	}
-	fill(t, c, k3, "3", 100)
+	fill(t, c, k3, sized(100))
 
 	if _, ok := c.Get(k2); ok {
 		t.Error("coldest entry k2 survived past the budget")
@@ -130,7 +134,7 @@ func TestLRUEvictionByBudget(t *testing.T) {
 	if met.evicted.Load() != 1 {
 		t.Errorf("evicted = %d, want 1", met.evicted.Load())
 	}
-	if got, want := c.ResidentBytes(), int64(2*(100+entryOverhead)); got != want {
+	if got, want := c.ResidentBytes(), int64(2*(100+EntryOverhead)); got != want {
 		t.Errorf("resident = %d, want %d", got, want)
 	}
 	if met.resident.Load() != c.ResidentBytes() {
@@ -140,8 +144,8 @@ func TestLRUEvictionByBudget(t *testing.T) {
 
 func TestOversizedEntryNotAdmitted(t *testing.T) {
 	c := New(2048, nil)
-	fill(t, c, key("d", 1, "small"), "s", 10)
-	fill(t, c, key("d", 1, "big"), "b", 10_000) // over the whole budget
+	fill(t, c, key("d", 1, "small"), sized(10))
+	fill(t, c, key("d", 1, "big"), sized(10_000)) // over the whole budget
 
 	if _, ok := c.Get(key("d", 1, "big")); ok {
 		t.Error("oversized entry was admitted")
@@ -156,12 +160,12 @@ func TestNonCacheableNotStored(t *testing.T) {
 	k := key("d", 1, "o")
 	runs := 0
 	for i := 0; i < 2; i++ {
-		_, outcome, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
+		_, cacheable, outcome, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			runs++
-			return "truncated", 10, false, nil
+			return []byte("truncated"), false, nil
 		})
-		if err != nil || outcome != Miss {
-			t.Fatalf("run %d: outcome %v err %v", i, outcome, err)
+		if err != nil || cacheable || outcome != Miss {
+			t.Fatalf("run %d: cacheable %v outcome %v err %v", i, cacheable, outcome, err)
 		}
 	}
 	if runs != 2 {
@@ -174,8 +178,8 @@ func TestErrorsNotCached(t *testing.T) {
 	k := key("d", 1, "o")
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		_, _, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
-			return nil, 0, true, boom
+		_, _, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+			return nil, true, boom
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("run %d: err %v, want boom", i, err)
@@ -188,7 +192,7 @@ func TestErrorsNotCached(t *testing.T) {
 
 // TestSingleFlight: N concurrent Do calls for one key run compute exactly
 // once; one caller reports Miss, the rest Coalesced, and all share the
-// value.
+// body and its cacheable flag.
 func TestSingleFlight(t *testing.T) {
 	met := &countingMetrics{}
 	c := New(1<<20, met)
@@ -197,27 +201,25 @@ func TestSingleFlight(t *testing.T) {
 	const n = 16
 	var runs atomic.Int64
 	release := make(chan struct{})
-	results := make(chan struct {
-		val     any
-		outcome Outcome
-		err     error
-	}, n)
+	type result struct {
+		body      []byte
+		cacheable bool
+		outcome   Outcome
+		err       error
+	}
+	results := make(chan result, n)
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, o, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
+			b, ok, o, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
 				runs.Add(1)
 				<-release // hold the flight open so every caller coalesces
-				return "shared", 10, true, nil
+				return []byte("shared"), true, nil
 			})
-			results <- struct {
-				val     any
-				outcome Outcome
-				err     error
-			}{v, o, err}
+			results <- result{b, ok, o, err}
 		}()
 	}
 
@@ -236,8 +238,8 @@ func TestSingleFlight(t *testing.T) {
 
 	var misses, coalesced int
 	for r := range results {
-		if r.err != nil || r.val != "shared" {
-			t.Fatalf("caller got %v err %v", r.val, r.err)
+		if r.err != nil || string(r.body) != "shared" || !r.cacheable {
+			t.Fatalf("caller got %q cacheable %v err %v", r.body, r.cacheable, r.err)
 		}
 		switch r.outcome {
 		case Miss:
@@ -262,19 +264,19 @@ func TestCoalescedWaiterHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
 	go func() {
-		c.Do(context.Background(), k, func() (any, int64, bool, error) {
+		c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			close(leaderIn)
 			<-release
-			return "v", 1, true, nil
+			return []byte("v"), true, nil
 		})
 	}()
 	<-leaderIn
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
-	_, outcome, err := c.Do(ctx, k, func() (any, int64, bool, error) {
+	_, _, outcome, err := c.Do(ctx, k, func() ([]byte, bool, error) {
 		t.Error("waiter ran compute")
-		return nil, 0, false, nil
+		return nil, false, nil
 	})
 	if !errors.Is(err, context.Canceled) || outcome != Coalesced {
 		t.Errorf("cancelled waiter: outcome %v err %v", outcome, err)
@@ -292,7 +294,7 @@ func TestComputePanicReleasesFlight(t *testing.T) {
 	waiterErr := make(chan error, 1)
 	go func() {
 		defer func() { recover() }() // the leader's own panic continues
-		c.Do(context.Background(), k, func() (any, int64, bool, error) {
+		c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			close(leaderIn)
 			time.Sleep(20 * time.Millisecond) // let the waiter join
 			panic("injected")
@@ -300,8 +302,8 @@ func TestComputePanicReleasesFlight(t *testing.T) {
 	}()
 	<-leaderIn
 	go func() {
-		_, _, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
-			return "retry", 1, true, nil
+		_, _, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+			return []byte("retry"), true, nil
 		})
 		waiterErr <- err
 	}()
@@ -319,19 +321,19 @@ func TestComputePanicReleasesFlight(t *testing.T) {
 	}
 
 	// The key must be usable again.
-	got, _, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
-		return "after", 1, true, nil
+	got, _, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		return []byte("after"), true, nil
 	})
-	if err != nil || (got != "after" && got != "retry") {
-		t.Errorf("key poisoned after panic: got %v err %v", got, err)
+	if err != nil || (string(got) != "after" && string(got) != "retry") {
+		t.Errorf("key poisoned after panic: got %q err %v", got, err)
 	}
 }
 
 func TestInvalidateDataset(t *testing.T) {
 	c := New(1<<20, nil)
-	fill(t, c, key("a", 1, "x"), "1", 10)
-	fill(t, c, key("a", 1, "y"), "2", 10)
-	fill(t, c, key("b", 1, "x"), "3", 10)
+	fill(t, c, key("a", 1, "x"), sized(10))
+	fill(t, c, key("a", 1, "y"), sized(10))
+	fill(t, c, key("b", 1, "x"), sized(10))
 
 	if n := c.InvalidateDataset("a"); n != 2 {
 		t.Errorf("invalidated %d, want 2", n)
@@ -342,7 +344,7 @@ func TestInvalidateDataset(t *testing.T) {
 	if _, ok := c.Get(key("b", 1, "x")); !ok {
 		t.Error("unrelated dataset invalidated")
 	}
-	if got, want := c.ResidentBytes(), int64(10+entryOverhead); got != want {
+	if got, want := c.ResidentBytes(), int64(10+EntryOverhead); got != want {
 		t.Errorf("resident = %d, want %d", got, want)
 	}
 }
@@ -350,7 +352,7 @@ func TestInvalidateDataset(t *testing.T) {
 // TestConcurrentMixedKeys hammers the cache from many goroutines across
 // overlapping keys; run under -race this is the data-race gate.
 func TestConcurrentMixedKeys(t *testing.T) {
-	c := New(4*(64+entryOverhead), nil) // tight budget so eviction churns
+	c := New(4*(64+EntryOverhead), nil) // tight budget so eviction churns
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -364,8 +366,8 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				case 6:
 					c.Get(k)
 				default:
-					c.Do(context.Background(), k, func() (any, int64, bool, error) {
-						return i, 64, i%2 == 0, nil
+					c.Do(context.Background(), k, func() ([]byte, bool, error) {
+						return sized(64), i%2 == 0, nil
 					})
 				}
 			}

@@ -505,6 +505,29 @@ func TestRestoreSeedsStateAndSkipsStaleRun(t *testing.T) {
 	}
 }
 
+// TestRestoreReadsJournaledType: specs journaled while MineSpec still
+// had a "type" field carry the mode as mine.type. Restore reads it as
+// the mode, so a coincidence job comes back as a coincidence job, and
+// skips a journaled spec that no longer validates.
+func TestRestoreReadsJournaledType(t *testing.T) {
+	r := &fakeRunner{}
+	m := newTestManager(t, r, newMemJournal(), nil)
+	m.Restore([]StoredJob{
+		{ID: "old", Spec: []byte(`{"dataset":"d","mine":{"type":"coincidence","min_count":2}}`)},
+		{ID: "bad", Spec: []byte(`{"dataset":"d","mine":{"type":"bogus","min_count":2}}`)},
+	})
+	st, err := m.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Spec.Mine.Mode != api.ModeCoincidence || st.Spec.Mine.MinCount != 2 || st.Spec.ID != "old" {
+		t.Fatalf("restored spec = %+v, want a coincidence job at min_count 2", st.Spec)
+	}
+	if _, err := m.Get("bad"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("invalid journaled spec restored: %v", err)
+	}
+}
+
 func TestCreateValidatesAndJournals(t *testing.T) {
 	r := &fakeRunner{}
 	jn := newMemJournal()

@@ -247,13 +247,13 @@ func New(cfg Config) (*Manager, error) {
 // Restore installs journal-recovered jobs and starts their run loops,
 // seeded with their last results so the first post-restart run diffs
 // against pre-restart state instead of re-announcing everything. An
-// undecodable spec is logged and skipped — one corrupt job must not
-// take down boot. Call once, before the first Create/Notify.
+// undecodable or invalid spec is logged and skipped — one corrupt job
+// must not take down boot. Call once, before the first Create/Notify.
 func (m *Manager) Restore(stored []StoredJob) {
 	for _, sj := range stored {
-		var spec api.JobSpec
-		if err := json.Unmarshal(sj.Spec, &spec); err != nil {
-			m.logger.Warn("jobs: skipping job with undecodable journaled spec", "job", sj.ID, "error", err)
+		spec, err := decodeStoredSpec(sj.ID, sj.Spec)
+		if err != nil {
+			m.logger.Warn("jobs: skipping job with undecodable or invalid journaled spec", "job", sj.ID, "error", err)
 			continue
 		}
 		var last *Result
@@ -265,7 +265,6 @@ func (m *Manager) Restore(stored []StoredJob) {
 				last = &res
 			}
 		}
-		spec.ID = sj.ID
 		m.mu.Lock()
 		if _, dup := m.jobs[sj.ID]; dup {
 			m.mu.Unlock()
@@ -285,6 +284,30 @@ func (m *Manager) Restore(stored []StoredJob) {
 		j.notify(0)
 	}
 	m.met.JobCount(m.Count())
+}
+
+// decodeStoredSpec decodes and validates the journaled spec of job id.
+// Specs journaled before MineSpec lost its "type" field carry the mode
+// as mine.type; it is read into mine.mode when that is empty, so such a
+// job keeps its mode rather than silently reverting to temporal.
+func decodeStoredSpec(id string, blob []byte) (api.JobSpec, error) {
+	var spec api.JobSpec
+	if err := json.Unmarshal(blob, &spec); err != nil {
+		return spec, err
+	}
+	if spec.Mine.Mode == "" {
+		var old struct {
+			Mine struct {
+				Type string `json:"type"`
+			} `json:"mine"`
+		}
+		if err := json.Unmarshal(blob, &old); err != nil {
+			return spec, err
+		}
+		spec.Mine.Mode = old.Mine.Type
+	}
+	spec.ID = id
+	return spec, spec.Validate()
 }
 
 // newJobLocked builds the in-memory job for spec. Caller holds m.mu.

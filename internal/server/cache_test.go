@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tpminer/internal/cache"
 )
 
 // doHdr is do with extra request headers.
@@ -37,10 +39,21 @@ func doHdr(t *testing.T, method, url, contentType, body string, hdr map[string]s
 	return resp, string(data)
 }
 
+// residentBytes scrapes the tpmd_cache_resident_bytes gauge.
+func residentBytes(t *testing.T, baseURL string) int64 {
+	t.Helper()
+	_, body := do(t, "GET", baseURL+"/v1/metrics", "", "")
+	v, ok := parseMetrics(t, body)["tpmd_cache_resident_bytes"]
+	if !ok {
+		t.Fatal("metrics missing tpmd_cache_resident_bytes")
+	}
+	return int64(v)
+}
+
 // TestMineSingleFlight is the acceptance test for request coalescing: N
 // concurrent identical mine requests execute exactly one miner run, and
-// every caller gets the full response — one "miss", the rest
-// "coalesced".
+// every caller gets the same full response bytes — one "miss", the rest
+// "coalesced" — which a later hit serves again, byte for byte.
 func TestMineSingleFlight(t *testing.T) {
 	s := NewWithConfig(nil, Config{MaxConcurrentMines: 32})
 	ts := httptest.NewServer(s.Handler())
@@ -91,6 +104,7 @@ func TestMineSingleFlight(t *testing.T) {
 	close(results)
 
 	var misses, coalesced int
+	var first string
 	for r := range results {
 		if r.status != http.StatusOK {
 			t.Fatalf("request failed: %d %q", r.status, r.body)
@@ -102,8 +116,10 @@ func TestMineSingleFlight(t *testing.T) {
 		if mr.Count == 0 || mr.Count != len(mr.Patterns) {
 			t.Errorf("coalesced caller got an incomplete response: %+v", mr)
 		}
-		if mr.Cache != r.cache {
-			t.Errorf("body cache %q != X-Cache header %q", mr.Cache, r.cache)
+		if first == "" {
+			first = r.body
+		} else if r.body != first {
+			t.Errorf("%s body differs from another caller's:\n%s\nvs\n%s", r.cache, r.body, first)
 		}
 		switch r.cache {
 		case "miss":
@@ -124,18 +140,29 @@ func TestMineSingleFlight(t *testing.T) {
 	if s.met.cache.misses.Value() != 1 {
 		t.Errorf("cache misses = %d, want 1", s.met.cache.misses.Value())
 	}
+
+	// A hit serves the stored bytes: the same body the flight returned.
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", `{"min_count":2}`)
+	if resp.Header.Get("X-Cache") != "hit" || body != first {
+		t.Errorf("hit: X-Cache %q, body identical to the miss: %v", resp.Header.Get("X-Cache"), body == first)
+	}
+	// The cache holds exactly those bytes.
+	if got, want := residentBytes(t, ts.URL), int64(len(first)+cache.EntryOverhead); got != want {
+		t.Errorf("tpmd_cache_resident_bytes = %d, want len(body)+overhead = %d", got, want)
+	}
 }
 
 // TestMineCachedAcrossRequests: a repeated identical request is served
-// from cache (no second miner run), carries the same ETag, and an
-// append flips both — the ETag changes and the miner runs again.
+// from cache (no second miner run) with the same bytes and ETag, the
+// resident-bytes gauge counts exactly the cached bodies, and an append
+// flips all of it — the ETag changes and the miner runs again.
 func TestMineCachedAcrossRequests(t *testing.T) {
 	s := NewWithConfig(nil, Config{MaxConcurrentMines: 4})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
-	mineOnce := func() (*http.Response, MineResponse) {
+	mineOnce := func() (*http.Response, MineResponse, string) {
 		resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", `{"min_count":2}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mine: %d %q", resp.StatusCode, body)
@@ -144,27 +171,30 @@ func TestMineCachedAcrossRequests(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &mr); err != nil {
 			t.Fatal(err)
 		}
-		return resp, mr
+		return resp, mr, body
 	}
 
-	r1, m1 := mineOnce()
-	if m1.Cache != "miss" {
-		t.Errorf("first mine cache = %q, want miss", m1.Cache)
+	r1, _, b1 := mineOnce()
+	if c := r1.Header.Get("X-Cache"); c != "miss" {
+		t.Errorf("first mine X-Cache = %q, want miss", c)
 	}
 	etag1 := r1.Header.Get("ETag")
 	if etag1 == "" {
 		t.Fatal("complete mine response without ETag")
 	}
+	if got, want := residentBytes(t, ts.URL), int64(len(b1)+cache.EntryOverhead); got != want {
+		t.Errorf("tpmd_cache_resident_bytes = %d, want len(body)+overhead = %d", got, want)
+	}
 
-	r2, m2 := mineOnce()
-	if m2.Cache != "hit" {
-		t.Errorf("repeated mine cache = %q, want hit", m2.Cache)
+	r2, _, b2 := mineOnce()
+	if c := r2.Header.Get("X-Cache"); c != "hit" {
+		t.Errorf("repeated mine X-Cache = %q, want hit", c)
 	}
 	if got := r2.Header.Get("ETag"); got != etag1 {
 		t.Errorf("ETag changed without a dataset change: %q -> %q", etag1, got)
 	}
-	if m2.Count != m1.Count {
-		t.Errorf("cached response differs: %d vs %d patterns", m2.Count, m1.Count)
+	if b2 != b1 {
+		t.Errorf("cached response differs from the miss:\n%s\nvs\n%s", b2, b1)
 	}
 	if runs := s.met.mineRuns.With("temporal", "ok").Value(); runs != 1 {
 		t.Errorf("repeat request ran the miner (%d runs)", runs)
@@ -180,9 +210,13 @@ func TestMineCachedAcrossRequests(t *testing.T) {
 	// Appending changes the version: the ETag must flip and the next
 	// mine must be a miss that runs the miner on the grown dataset.
 	do(t, "POST", ts.URL+"/v1/datasets/demo/append", "text/plain", "s4: A[0,4] B[2,6]\n")
-	r3, m3 := mineOnce()
-	if m3.Cache != "miss" {
-		t.Errorf("post-append mine cache = %q, want miss", m3.Cache)
+	r3, m3, b3 := mineOnce()
+	if c := r3.Header.Get("X-Cache"); c != "miss" {
+		t.Errorf("post-append mine X-Cache = %q, want miss", c)
+	}
+	// The append dropped the old entry; only the new body is resident.
+	if got, want := residentBytes(t, ts.URL), int64(len(b3)+cache.EntryOverhead); got != want {
+		t.Errorf("post-append tpmd_cache_resident_bytes = %d, want %d", got, want)
 	}
 	if got := r3.Header.Get("ETag"); got == "" || got == etag1 {
 		t.Errorf("ETag did not flip after append: %q", got)
@@ -222,8 +256,8 @@ func TestTruncatedNeverCached(t *testing.T) {
 		if !mr.Stats.Truncated {
 			t.Fatalf("expected a truncated run: %+v", mr.Stats)
 		}
-		if mr.Cache != "miss" {
-			t.Errorf("truncated mine %d served as %q, want miss", i, mr.Cache)
+		if c := resp.Header.Get("X-Cache"); c != "miss" {
+			t.Errorf("truncated mine %d served as %q, want miss", i, c)
 		}
 		if et := resp.Header.Get("ETag"); et != "" {
 			t.Errorf("truncated response carries ETag %q", et)
@@ -237,16 +271,16 @@ func TestTruncatedNeverCached(t *testing.T) {
 	}
 }
 
-// TestRulesCached: the rules endpoint shares the caching machinery.
+// TestRulesCached: rules mode shares the caching machinery.
 func TestRulesCached(t *testing.T) {
 	s := NewWithConfig(nil, Config{MaxConcurrentMines: 4})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
-	req := `{"min_count":2,"min_confidence":0.5}`
-	resp1, body1 := do(t, "POST", ts.URL+"/v1/datasets/demo/rules", "application/json", req)
-	resp2, body2 := do(t, "POST", ts.URL+"/v1/datasets/demo/rules", "application/json", req)
+	req := `{"mode":"rules","min_count":2,"min_confidence":0.5}`
+	resp1, body1 := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req)
+	resp2, body2 := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req)
 	if resp1.StatusCode != http.StatusOK || resp2.StatusCode != http.StatusOK {
 		t.Fatalf("rules: %d / %d", resp1.StatusCode, resp2.StatusCode)
 	}
@@ -261,7 +295,7 @@ func TestRulesCached(t *testing.T) {
 	}
 	// 304 with the returned ETag.
 	etag := resp1.Header.Get("ETag")
-	resp3, _ := doHdr(t, "POST", ts.URL+"/v1/datasets/demo/rules", "application/json", req,
+	resp3, _ := doHdr(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req,
 		map[string]string{"If-None-Match": etag})
 	if resp3.StatusCode != http.StatusNotModified {
 		t.Errorf("rules If-None-Match: %d, want 304", resp3.StatusCode)
@@ -335,13 +369,9 @@ func TestDatasetETagLifecycle(t *testing.T) {
 	if s.results.Len() != 0 {
 		t.Errorf("overwrite left %d cached results for the old version", s.results.Len())
 	}
-	_, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", `{"min_count":2}`)
-	var mr MineResponse
-	if err := json.Unmarshal([]byte(body), &mr); err != nil {
-		t.Fatal(err)
-	}
-	if mr.Cache != "miss" {
-		t.Errorf("mine after overwrite served %q, want miss", mr.Cache)
+	respM, _ := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", `{"min_count":2}`)
+	if c := respM.Header.Get("X-Cache"); c != "miss" {
+		t.Errorf("mine after overwrite served %q, want miss", c)
 	}
 
 	// Append to a dataset that does not exist: 404 with the envelope.
@@ -434,50 +464,56 @@ func TestDeleteDuringInflightMine(t *testing.T) {
 	}
 }
 
-// TestV1DropsLegacyElapsed: /v1 stats omit the deprecated "elapsed"
-// duration string; the legacy alias keeps it. Both carry elapsed_ms.
-func TestV1DropsLegacyElapsed(t *testing.T) {
-	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/v1/datasets/e", "text/csv", csvBody)
+// discardWriter is a ResponseWriter that keeps headers and drops the
+// body, so an allocation count covers the server and nothing else.
+type discardWriter struct{ h http.Header }
 
-	_, v1Body := do(t, "POST", ts.URL+"/v1/datasets/e/mine", "application/json", `{"min_count":2}`)
-	if strings.Contains(v1Body, `"elapsed":`) {
-		t.Errorf("/v1 response still carries legacy elapsed: %q", v1Body)
-	}
-	if !strings.Contains(v1Body, `"elapsed_ms"`) {
-		t.Errorf("/v1 response missing elapsed_ms: %q", v1Body)
-	}
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
 
-	// Same request via the legacy alias — even served from cache, the
-	// legacy field must reappear.
-	_, legacyBody := do(t, "POST", ts.URL+"/datasets/e/mine", "application/json", `{"min_count":2}`)
-	if !strings.Contains(legacyBody, `"elapsed":`) {
-		t.Errorf("legacy response lost the elapsed field: %q", legacyBody)
+// TestMineHitAllocsIndependentOfResultSize: a cache hit writes the
+// stored bytes without encoding them again, so a hit on a ~1000-pattern
+// result allocates no more than a hit on a ~10-pattern one.
+func TestMineHitAllocsIndependentOfResultSize(t *testing.T) {
+	s := NewWithConfig(nil, Config{MaxConcurrentMines: 4})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	hitAllocs := func(name, csv string) (float64, int) {
+		req := httptest.NewRequest("PUT", "/v1/datasets/"+name, strings.NewReader(csv))
+		req.Header.Set("Content-Type", "text/csv")
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		mine := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest("POST", "/v1/datasets/"+name+"/mine", strings.NewReader(`{"min_count":3}`))
+			req.Header.Set("Content-Type", "application/json")
+			h.ServeHTTP(rec, req)
+			return rec
+		}
+		rec := mine() // the miss that fills the cache
+		var mr MineResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("mine %s: %d %q", name, rec.Code, rec.Body.String())
+		}
+		if rec := mine(); rec.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("mine %s: X-Cache %q, want hit", name, rec.Header().Get("X-Cache"))
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			req := httptest.NewRequest("POST", "/v1/datasets/"+name+"/mine", strings.NewReader(`{"min_count":3}`))
+			req.Header.Set("Content-Type", "application/json")
+			h.ServeHTTP(&discardWriter{h: http.Header{}}, req)
+		})
+		return allocs, mr.Count
 	}
-}
-
-// TestLegacyAliasDeprecationHeaders: unversioned routes serve identically
-// but mark themselves deprecated and point at the /v1 successor.
-func TestLegacyAliasDeprecationHeaders(t *testing.T) {
-	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/d", "text/csv", csvBody)
-
-	resp, _ := do(t, "GET", ts.URL+"/datasets/d", "", "")
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
+	small, nSmall := hitAllocs("a", explosiveCSV(3, 3))
+	large, nLarge := hitAllocs("b", explosiveCSV(3, 10))
+	if nSmall > 20 || nLarge < 500 {
+		t.Fatalf("result sizes %d and %d patterns, want ~10 and ~1000", nSmall, nLarge)
 	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/datasets/d") ||
-		!strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link header %q", link)
-	}
-
-	respV1, _ := do(t, "GET", ts.URL+"/v1/datasets/d", "", "")
-	if respV1.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
-	}
-	// Same resource through both surfaces: same ETag.
-	if a, b := resp.Header.Get("ETag"), respV1.Header.Get("ETag"); a != b {
-		t.Errorf("legacy and v1 ETags differ: %q vs %q", a, b)
+	t.Logf("allocations per hit: %.0f on %d patterns, %.0f on %d patterns", small, nSmall, large, nLarge)
+	if large > small+2 {
+		t.Errorf("hit on %d patterns allocates %.0f times, on %d patterns %.0f: hit cost grows with result size",
+			nLarge, large, nSmall, small)
 	}
 }
 
@@ -497,8 +533,8 @@ func TestV1ErrorEnvelopeShape(t *testing.T) {
 	}{
 		{"not found", "GET", "/v1/datasets/nope", "", 404, "not_found", ""},
 		{"bad field", "POST", "/v1/datasets/demo/mine", `{"min_support":-1}`, 400, "invalid_request", "min_support"},
-		{"bad type", "POST", "/v1/datasets/demo/mine", `{"type":"x","min_count":1}`, 400, "invalid_request", "type"},
-		{"rules field", "POST", "/v1/datasets/demo/rules", `{"min_count":1,"min_lift":-1}`, 400, "invalid_request", "min_lift"},
+		{"unknown field", "POST", "/v1/datasets/demo/mine", `{"type":"x","min_count":1}`, 400, "invalid_request", ""},
+		{"rules field", "POST", "/v1/datasets/demo/mine", `{"mode":"rules","min_count":1,"min_lift":-1}`, 400, "invalid_request", "min_lift"},
 	}
 	for _, c := range cases {
 		ctype := ""

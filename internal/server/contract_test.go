@@ -80,45 +80,54 @@ func TestRouteTableMatchesServer(t *testing.T) {
 	}
 }
 
+// routePath fills a route pattern's placeholders with the dataset x and
+// the job j1 that requestRoute creates.
+func routePath(rt RouteInfo) string {
+	path := strings.ReplaceAll(rt.Pattern, "{name}", "x")
+	return strings.ReplaceAll(path, "{id}", "j1")
+}
+
+// requestRoute issues rt's method on path with a body the route
+// accepts, after recreating the dataset and job it names, so earlier
+// DELETE iterations cannot turn a served route into a spurious 404.
+func requestRoute(t *testing.T, baseURL string, rt RouteInfo, path string) (int, http.Header, string) {
+	t.Helper()
+	do(t, "PUT", baseURL+"/v1/datasets/x", "text/csv", csvBody)
+	do(t, "POST", baseURL+"/v1/jobs", "application/json", `{"id":"j1","dataset":"x"}`)
+	defer do(t, "DELETE", baseURL+"/v1/jobs/j2", "", "")
+	body, ctype := "", ""
+	if rt.Method == "POST" || rt.Method == "PUT" {
+		body, ctype = "s9: A[0,4]\n", "text/plain"
+		switch {
+		case strings.HasSuffix(path, "/mine"):
+			body, ctype = `{"min_count":2}`, "application/json"
+		case strings.HasSuffix(path, "/events"):
+			body, ctype = `{"seq":"s9","symbol":"A","start":0,"end":4}`+"\n", "application/x-ndjson"
+		case strings.HasSuffix(path, "/jobs"):
+			body, ctype = `{"id":"j2","dataset":"x"}`, "application/json"
+		}
+	}
+	return doRoute(t, rt.Method, baseURL+path, ctype, body)
+}
+
+// muxNotFound reports whether a response is the mux's own plain-text
+// 404 — the path resolved to no route — rather than a handler's 404,
+// which carries the uniform error envelope.
+func muxNotFound(status int, body string) bool {
+	return status == http.StatusNotFound && !strings.Contains(body, `"error"`)
+}
+
 // TestRouteTableIsServed proves the route table is not aspirational:
 // every listed route resolves to a handler (no 404/405 from the mux) on
-// /v1, and — unless flagged v1-only — on the legacy surface too; and
-// unlisted paths still 404.
+// /v1, and unlisted paths still 404.
 func TestRouteTableIsServed(t *testing.T) {
 	ts := newTestServer(t)
 
 	for _, rt := range fetchRouteTable(t, ts.URL) {
-		path := strings.ReplaceAll(rt.Pattern, "{name}", "x")
-		path = strings.ReplaceAll(path, "{id}", "j1")
-		surfaces := []string{"/v1" + path}
-		if !rt.V1Only {
-			surfaces = append(surfaces, path)
-		}
-		for _, p := range surfaces {
-			// Recreate the dataset and job each time so earlier DELETE
-			// iterations cannot turn a served route into a spurious 404.
-			do(t, "PUT", ts.URL+"/v1/datasets/x", "text/csv", csvBody)
-			do(t, "POST", ts.URL+"/v1/jobs", "application/json", `{"id":"j1","dataset":"x"}`)
-			body, ctype := "", ""
-			if rt.Method == "POST" || rt.Method == "PUT" {
-				body, ctype = "s9: A[0,4]\n", "text/plain"
-				switch {
-				case strings.HasSuffix(p, "/mine") || strings.HasSuffix(p, "/rules"):
-					body, ctype = `{"min_count":2}`, "application/json"
-				case strings.HasSuffix(p, "/events"):
-					body, ctype = `{"seq":"s9","symbol":"A","start":0,"end":4}`+"\n", "application/x-ndjson"
-				case p == "/v1/jobs":
-					body, ctype = `{"id":"j2","dataset":"x"}`, "application/json"
-				}
-			}
-			status, respBody := doRoute(t, rt.Method, ts.URL+p, ctype, body)
-			// A handler's own 404 (uniform error envelope) still proves the
-			// route resolved; the mux's plain-text 404 means it did not.
-			handlerNotFound := status == http.StatusNotFound && strings.Contains(respBody, `"error"`)
-			if (status == http.StatusNotFound && !handlerNotFound) || status == http.StatusMethodNotAllowed {
-				t.Errorf("listed route %s %s not served: %d %q", rt.Method, p, status, respBody)
-			}
-			do(t, "DELETE", ts.URL+"/v1/jobs/j2", "", "")
+		p := "/v1" + routePath(rt)
+		status, _, respBody := requestRoute(t, ts.URL, rt, p)
+		if muxNotFound(status, respBody) || status == http.StatusMethodNotAllowed {
+			t.Errorf("listed route %s %s not served: %d %q", rt.Method, p, status, respBody)
 		}
 	}
 
@@ -130,8 +139,8 @@ func TestRouteTableIsServed(t *testing.T) {
 
 // doRoute issues one request but, unlike do, never blocks on an
 // unbounded body: the SSE events route streams until the client
-// disconnects, so only its status matters here.
-func doRoute(t *testing.T, method, url, contentType, body string) (int, string) {
+// disconnects, so only its status and headers matter here.
+func doRoute(t *testing.T, method, url, contentType, body string) (int, http.Header, string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -148,40 +157,40 @@ func doRoute(t *testing.T, method, url, contentType, body string) (int, string) 
 	}
 	defer resp.Body.Close()
 	if strings.Contains(resp.Header.Get("Content-Type"), "text/event-stream") {
-		return resp.StatusCode, "(event stream)"
+		return resp.StatusCode, resp.Header, "(event stream)"
 	}
 	buf := make([]byte, 4096)
 	n, _ := resp.Body.Read(buf)
-	return resp.StatusCode, string(buf[:n])
+	return resp.StatusCode, resp.Header, string(buf[:n])
 }
 
-// TestDeprecatedAliasForEveryRoute: the mux registers a legacy alias for
-// each non-v1-only route and the alias flags itself deprecated; v1-only
-// routes have no legacy alias at all.
-func TestDeprecatedAliasForEveryRoute(t *testing.T) {
+// TestOnlyV1Served: /v1 is the one API surface. Every route's path
+// without the /v1 prefix, and the removed POST /v1/datasets/{name}/rules,
+// is a mux 404, and no /v1 response is marked deprecated.
+func TestOnlyV1Served(t *testing.T) {
 	s := NewWithConfig(nil, Config{MaxConcurrentMines: 4})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
-	resp, _ := do(t, "GET", ts.URL+"/healthz", "", "")
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /healthz not marked deprecated")
+	routes := RouteTable()
+	if len(routes) != 18 {
+		t.Errorf("route table has %d routes, want 18", len(routes))
 	}
-	resp, _ = do(t, "GET", ts.URL+"/v1/healthz", "", "")
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/healthz marked deprecated")
+	for _, rt := range routes {
+		p := routePath(rt)
+		if status, _, body := requestRoute(t, ts.URL, rt, p); !muxNotFound(status, body) {
+			t.Errorf("unversioned %s %s served: %d %q", rt.Method, p, status, body)
+		}
+		status, hdr, body := requestRoute(t, ts.URL, rt, "/v1"+p)
+		if muxNotFound(status, body) {
+			t.Errorf("%s /v1%s not served: %d", rt.Method, p, status)
+		}
+		if d := hdr.Get("Deprecation"); d != "" {
+			t.Errorf("%s /v1%s carries Deprecation: %q", rt.Method, p, d)
+		}
 	}
-	// v1-only routes must not leak onto the legacy surface.
-	resp, _ = do(t, "GET", ts.URL+"/routes", "", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("v1-only /routes served on the legacy surface: %d", resp.StatusCode)
-	}
-	// A deprecated route with a successor advertises it via Link.
-	resp, _ = do(t, "POST", ts.URL+"/v1/datasets/x/rules", "application/json", `{}`)
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("/v1/datasets/{name}/rules not marked deprecated")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-		t.Errorf("deprecated rules route has no successor Link header: %q", link)
+	rules := RouteInfo{Method: "POST", Pattern: "/datasets/{name}/rules"}
+	if status, _, body := requestRoute(t, ts.URL, rules, "/v1/datasets/x/rules"); !muxNotFound(status, body) {
+		t.Errorf("POST /v1/datasets/x/rules served: %d %q", status, body)
 	}
 }

@@ -15,8 +15,7 @@ import (
 //
 //   - tpmd_http_*: per-route request counters and latency histograms
 //     recorded by the middleware for every request — labelled by route
-//     pattern and API version (v1 vs legacy alias) — plus in-flight and
-//     backpressure (429) counters.
+//     pattern — plus in-flight and backpressure (429) counters.
 //   - tpmd_cache_*: the mine-result cache — hits, misses, coalesced
 //     (single-flight) waiters, evictions, and resident bytes.
 //   - tpmd_mine_*: mining-job telemetry — runs by type and outcome,
@@ -54,7 +53,7 @@ import (
 //     overflow while the store was unavailable, or dropped at
 //     shutdown).
 type serverMetrics struct {
-	reqTotal  *obs.CounterVec // route, api, class
+	reqTotal  *obs.CounterVec // route, class
 	reqDur    *obs.HistogramVec
 	reqBytes  *obs.CounterVec
 	inFlight  *obs.Gauge
@@ -245,11 +244,11 @@ func (m *cacheMetrics) DegradedHit()     { m.degradedHits.Inc() }
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{
 		reqTotal: reg.NewCounterVec("tpmd_http_requests_total",
-			"HTTP requests served, by route, API version, and status class.", "route", "api", "class"),
+			"HTTP requests served, by route and status class.", "route", "class"),
 		reqDur: reg.NewHistogramVec("tpmd_http_request_duration_seconds",
-			"HTTP request latency by route and API version.", nil, "route", "api"),
+			"HTTP request latency by route.", nil, "route"),
 		reqBytes: reg.NewCounterVec("tpmd_http_response_bytes_total",
-			"Response body bytes written, by route and API version.", "route", "api"),
+			"Response body bytes written, by route.", "route"),
 		inFlight: reg.NewGauge("tpmd_http_requests_in_flight",
 			"Requests currently being handled."),
 		throttled: reg.NewCounter("tpmd_http_throttled_total",
@@ -265,7 +264,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			evictions: reg.NewCounter("tpmd_cache_evictions_total",
 				"Result-cache entries evicted to stay within the byte budget."),
 			resident: reg.NewGauge("tpmd_cache_resident_bytes",
-				"Approximate bytes of mine/rules results currently cached."),
+				"Bytes of rendered mine responses currently cached: body lengths plus a fixed per-entry overhead."),
 			degradedHits: reg.NewCounter("tpmd_cache_degraded_hits_total",
 				"Cache hits served while persistence was degraded (read-only mode)."),
 		},
@@ -404,21 +403,16 @@ func (m *serverMetrics) recordMinerStats(st core.Stats) {
 	m.minerPruned.With("p4").Add(uint64(st.SizePruned))
 }
 
-// apiLabel reports which API surface served the request: "v1" for the
-// versioned routes, "legacy" for the deprecated unversioned aliases.
-func apiLabel(r *http.Request) string {
-	if isV1(r) {
-		return "v1"
-	}
-	return "legacy"
-}
-
 // routeLabel maps a request path onto its route pattern so metric
 // cardinality stays bounded no matter what dataset names clients send.
-// The /v1 prefix is stripped — the API version is its own label — so a
-// route's time series stay comparable across versions.
+// The /v1 prefix every route shares is stripped; any path outside /v1
+// is "other", so a stale client's 404s are not counted under a real
+// route.
 func routeLabel(r *http.Request) string {
-	p := strings.TrimPrefix(r.URL.Path, "/v1")
+	if !strings.HasPrefix(r.URL.Path, "/v1/") {
+		return "other"
+	}
+	p := r.URL.Path[len("/v1"):]
 	switch p {
 	case "/healthz", "/readyz", "/metrics", "/datasets", "/routes", "/jobs":
 		return p
@@ -426,7 +420,7 @@ func routeLabel(r *http.Request) string {
 	if rest, ok := strings.CutPrefix(p, "/datasets/"); ok {
 		if i := strings.IndexByte(rest, '/'); i >= 0 {
 			switch suffix := rest[i:]; suffix {
-			case "/mine", "/rules", "/append", "/events", "/shards":
+			case "/mine", "/append", "/events", "/shards":
 				return "/datasets/{name}" + suffix
 			}
 			return "other"

@@ -5,13 +5,9 @@
 //
 // # API (v1)
 //
-// All routes are mounted under /v1; pre-existing routes keep
-// unversioned paths as deprecated aliases (they behave identically,
-// carry a "Deprecation: true" header and a Link to their /v1
-// successor, and keep the legacy "elapsed" stats field that /v1
-// drops), while routes added after the v1 cut are v1-only. The table
-// below is also served machine-readably at GET /v1/routes. JSON
-// in/out unless noted:
+// Every route is mounted under /v1, and nothing is served outside it.
+// The table below is also served machine-readably at GET /v1/routes.
+// JSON in/out unless noted:
 //
 //	GET    /v1/healthz                      liveness (200 even when degraded)
 //	GET    /v1/readyz                       readiness (503 while degraded)
@@ -29,8 +25,6 @@
 //	                                        coincidence|rules, optional
 //	                                        window); patterns or rules with
 //	                                        supports (ETag, 304)
-//	POST   /v1/datasets/{name}/rules        deprecated alias for mine with
-//	                                        mode "rules"
 //	POST   /v1/jobs                         create a continuous mining job
 //	GET    /v1/jobs                         list jobs
 //	GET    /v1/jobs/{id}                    job status
@@ -46,18 +40,19 @@
 //
 // # Result caching and request coalescing
 //
-// Mining is deterministic for a fixed (dataset, options) pair, so
-// complete mine/rules results are memoized in a byte-budgeted LRU
-// (internal/cache) keyed by (dataset name, dataset version, canonical
-// options). Every dataset mutation (PUT, append, DELETE) bumps the
-// dataset's version, which changes the key — invalidation is exact, not
-// TTL-guessed. Concurrent identical requests collapse into a single
-// miner run via a single-flight group; the one result fans out to every
-// waiter. Responses expose how they were served: a "cache" field
-// (hit|miss|coalesced) plus an X-Cache header, and a strong ETag derived
-// from (dataset, version, options) that clients may return via
-// If-None-Match for a 304 without any mining. Truncated results and
-// failed runs are never cached and carry no ETag.
+// Mining is deterministic for a fixed (dataset, options) pair, so a
+// mine response body depends only on (dataset name, dataset version,
+// canonical options). Complete results are rendered to JSON once and
+// memoized as those bytes in a byte-budgeted LRU (internal/cache) under
+// that key; a hit writes the stored bytes without encoding again. Every
+// dataset mutation (PUT, append, DELETE) bumps the dataset's version,
+// which changes the key — invalidation is exact, not TTL-guessed.
+// Concurrent identical requests collapse into a single miner run via a
+// single-flight group; the one body fans out to every waiter. Responses
+// expose how they were served in an X-Cache header (hit|miss|coalesced),
+// and carry a strong ETag derived from (dataset, version, options) that
+// clients may return via If-None-Match for a 304 without any mining.
+// Truncated results and failed runs are never cached and carry no ETag.
 //
 // # Operational hardening
 //
@@ -94,7 +89,7 @@
 // The server logs structured records via log/slog (one "request" record
 // per request with route, status, duration, and request ID) and exposes
 // a Prometheus registry at GET /v1/metrics: per-route request counters
-// and latency histograms (labelled by API version), in-flight and
+// and latency histograms, in-flight and
 // backpressure gauges, cache hit/miss/coalesced/eviction counters with a
 // resident-bytes gauge, mining-run outcomes, and the miner's own
 // node/scan/P1–P4-pruning counters. The Retry-After hint on 429
@@ -106,7 +101,7 @@
 // Each stored dataset carries a size-balanced partition of its
 // sequences into disjoint shards (internal/shard), computed at mutation
 // time so shard IDs stay stable across mines. When a dataset holds at
-// least two shards, mine and rules requests fan out through the
+// least two shards, mine requests (rules mode included) fan out through the
 // scatter-gather coordinator: every shard runs the dense-index miner at
 // a relaxed partition-aware support bound, and the coordinator merges
 // per-shard supports exactly, so results — and therefore cache keys,
@@ -132,6 +127,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -482,35 +478,27 @@ type RouteInfo struct {
 	Method  string `json:"method"`
 	Pattern string `json:"pattern"` // path under /v1
 	Summary string `json:"summary"`
-	// V1Only marks routes served only under /v1, with no legacy
-	// unversioned alias (everything added after the /v1 cut).
-	V1Only bool `json:"v1_only,omitempty"`
-	// Deprecated marks a route kept for compatibility; Successor names
-	// where new clients should go instead.
-	Deprecated bool   `json:"deprecated,omitempty"`
-	Successor  string `json:"successor,omitempty"`
 }
 
 var routeTable = []RouteInfo{
 	{Method: "GET", Pattern: "/healthz", Summary: "liveness probe (200 even while degraded)"},
 	{Method: "GET", Pattern: "/readyz", Summary: "readiness probe (503 while persistence is degraded)"},
 	{Method: "GET", Pattern: "/metrics", Summary: "Prometheus text exposition"},
-	{Method: "GET", Pattern: "/routes", Summary: "this machine-readable route table", V1Only: true},
+	{Method: "GET", Pattern: "/routes", Summary: "this machine-readable route table"},
 	{Method: "GET", Pattern: "/datasets", Summary: "list datasets with summaries"},
 	{Method: "PUT", Pattern: "/datasets/{name}", Summary: "create or replace a dataset (csv, lines, or json body)"},
 	{Method: "GET", Pattern: "/datasets/{name}", Summary: "dataset summary (ETag, 304)"},
 	{Method: "DELETE", Pattern: "/datasets/{name}", Summary: "delete a dataset"},
 	{Method: "POST", Pattern: "/datasets/{name}/append", Summary: "append sequences (same body formats as PUT)"},
-	{Method: "POST", Pattern: "/datasets/{name}/events", Summary: "stream NDJSON event intervals; batched into versioned appends", V1Only: true},
-	{Method: "GET", Pattern: "/datasets/{name}/shards", Summary: "shard layout: per-shard load, skew, assigned worker, push state", V1Only: true},
+	{Method: "POST", Pattern: "/datasets/{name}/events", Summary: "stream NDJSON event intervals; batched into versioned appends"},
+	{Method: "GET", Pattern: "/datasets/{name}/shards", Summary: "shard layout: per-shard load, skew, assigned worker, push state"},
 	{Method: "POST", Pattern: "/datasets/{name}/mine", Summary: "mine patterns; mode temporal, coincidence, or rules (ETag, 304)"},
-	{Method: "POST", Pattern: "/datasets/{name}/rules", Summary: "mine association rules", Deprecated: true, Successor: "POST /v1/datasets/{name}/mine"},
-	{Method: "POST", Pattern: "/jobs", Summary: "create a continuous-mining job", V1Only: true},
-	{Method: "GET", Pattern: "/jobs", Summary: "list jobs", V1Only: true},
-	{Method: "GET", Pattern: "/jobs/{id}", Summary: "job status", V1Only: true},
-	{Method: "DELETE", Pattern: "/jobs/{id}", Summary: "delete a job", V1Only: true},
-	{Method: "GET", Pattern: "/jobs/{id}/result", Summary: "latest job result (ETag, 304)", V1Only: true},
-	{Method: "GET", Pattern: "/jobs/{id}/events", Summary: "job delta stream (Server-Sent Events, Last-Event-ID resume)", V1Only: true},
+	{Method: "POST", Pattern: "/jobs", Summary: "create a continuous-mining job"},
+	{Method: "GET", Pattern: "/jobs", Summary: "list jobs"},
+	{Method: "GET", Pattern: "/jobs/{id}", Summary: "job status"},
+	{Method: "DELETE", Pattern: "/jobs/{id}", Summary: "delete a job"},
+	{Method: "GET", Pattern: "/jobs/{id}/result", Summary: "latest job result (ETag, 304)"},
+	{Method: "GET", Pattern: "/jobs/{id}/events", Summary: "job delta stream (Server-Sent Events, Last-Event-ID resume)"},
 }
 
 // Routes returns the canonical route list as "METHOD /v1/path" strings,
@@ -535,9 +523,8 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"routes": routeTable})
 }
 
-// Handler returns the route table — every route under /v1 plus (for
-// pre-/v1 routes) its legacy unversioned alias — wrapped in the
-// request-ID and panic-recovery middleware.
+// Handler returns the route table, every route under /v1, wrapped in
+// the request-ID and panic-recovery middleware.
 func (s *Server) Handler() http.Handler {
 	handlers := map[string]http.HandlerFunc{
 		"GET /healthz":                 s.handleHealthz,
@@ -552,7 +539,6 @@ func (s *Server) Handler() http.Handler {
 		"POST /datasets/{name}/events": s.handleIngest,
 		"GET /datasets/{name}/shards":  s.handleShards,
 		"POST /datasets/{name}/mine":   s.handleMine,
-		"POST /datasets/{name}/rules":  s.handleRules,
 		"POST /jobs":                   s.handleJobCreate,
 		"GET /jobs":                    s.handleJobList,
 		"GET /jobs/{id}":               s.handleJobGet,
@@ -567,46 +553,10 @@ func (s *Server) Handler() http.Handler {
 		if !ok {
 			panic("server: route without handler: " + key)
 		}
-		v1h := h
-		if rt.Deprecated {
-			v1h = deprecatedRoute(h, rt.Successor)
-		}
-		mux.HandleFunc(rt.Method+" /v1"+rt.Pattern, v1h)
-		if !rt.V1Only {
-			mux.HandleFunc(key, deprecated(h))
-		}
+		mux.HandleFunc(rt.Method+" /v1"+rt.Pattern, h)
 	}
 	return s.middleware(mux)
 }
-
-// deprecated wraps a handler for a legacy unversioned alias: identical
-// behaviour plus a Deprecation header and a Link to the /v1 successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// deprecatedRoute wraps a route that is deprecated even on /v1 (the
-// rules route, superseded by mode=rules on the mine route): identical
-// behaviour plus the Deprecation header and a Link to the successor.
-func deprecatedRoute(h http.HandlerFunc, successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		if successor != "" {
-			if i := strings.IndexByte(successor, ' '); i >= 0 {
-				w.Header().Set("Link", "<"+successor[i+1:]+`>; rel="successor-version"`)
-			}
-		}
-		h(w, r)
-	}
-}
-
-// isV1 reports whether the request came in through a /v1 route (as
-// opposed to a legacy alias).
-func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
 
 // ctxKey keys middleware values in the request context.
 type ctxKey int
@@ -655,16 +605,15 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				status = http.StatusOK
 			}
 			route := routeLabel(r)
-			api := apiLabel(r)
 			dur := time.Since(start)
-			s.met.reqTotal.With(route, api, statusClass(status)).Inc()
-			s.met.reqDur.With(route, api).Observe(dur.Seconds())
-			s.met.reqBytes.With(route, api).Add(uint64(sw.bytes))
+			s.met.reqTotal.With(route, statusClass(status)).Inc()
+			s.met.reqDur.With(route).Observe(dur.Seconds())
+			s.met.reqBytes.With(route).Add(uint64(sw.bytes))
 			if status == http.StatusTooManyRequests {
 				s.met.throttled.Inc()
 			}
 			s.logger.Info("request",
-				"request_id", id, "method", r.Method, "route", route, "api", api,
+				"request_id", id, "method", r.Method, "route", route,
 				"path", r.URL.Path, "status", status,
 				"duration_ms", dur.Milliseconds(), "bytes", sw.bytes)
 		}()
@@ -685,7 +634,7 @@ type ErrorDetail struct {
 }
 
 // ErrorEnvelope is the body of every non-2xx JSON response, on every
-// route and API version.
+// route.
 type ErrorEnvelope struct {
 	Error     ErrorDetail `json:"error"`
 	RequestID string      `json:"request_id,omitempty"`
@@ -727,11 +676,35 @@ type fieldError struct {
 
 func (e *fieldError) Error() string { return e.msg }
 
+// encodeJSON is the one JSON encoder configuration of every response,
+// so a body rendered ahead of time (renderJSON) and one written directly
+// (writeJSON) are the same bytes.
+func encodeJSON(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
+
+// renderJSON renders v as a response body, right-sized so a cached body
+// holds no spare capacity.
+func renderJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, v); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
+}
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if err := encodeJSON(w, v); err != nil {
 		s.logger.Error("encode response failed", "error", err)
+	}
+}
+
+// writeJSONBody writes a body renderJSON rendered earlier.
+func (s *Server) writeJSONBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		s.logger.Error("write response failed", "error", err)
 	}
 }
 
@@ -1274,18 +1247,12 @@ func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, err e
 
 // ----------------------------------------------------------- wire types
 
-// The request shapes of the mine family live in internal/api, shared
-// with the jobs subsystem; these aliases keep the server's exported
-// surface intact. MineRequest and RulesRequest are the same struct now —
-// one unified shape with an explicit "mode" field ("temporal",
-// "coincidence", or "rules"); the rules route is a deprecated alias for
-// mode=rules, and the legacy "type" field is accepted with a Deprecation
-// response header.
+// The request shape of the mine family lives in internal/api, shared
+// with the jobs subsystem: one MineSpec with an explicit "mode" field
+// ("temporal", "coincidence", or "rules").
 type (
 	MiningOptions = api.MiningOptions
 	MineSpec      = api.MineSpec
-	MineRequest   = api.MineSpec
-	RulesRequest  = api.MineSpec
 )
 
 // MinedPattern is one result row of the mine endpoint.
@@ -1295,18 +1262,14 @@ type MinedPattern struct {
 	Relations string `json:"relations,omitempty"`
 }
 
-// MineResponse is the body returned by the mine endpoint.
+// MineResponse is the body returned by the mine endpoint in temporal
+// and coincidence mode. Type echoes the resolved mode.
 type MineResponse struct {
 	Dataset  string         `json:"dataset"`
 	Type     string         `json:"type"`
 	Count    int            `json:"count"`
 	Patterns []MinedPattern `json:"patterns"`
 	Stats    MineStats      `json:"stats"`
-	// Cache says how this response was served: "hit" (from cache),
-	// "miss" (this request ran the miner), or "coalesced" (an identical
-	// concurrent request ran it; this one shared the result). Empty when
-	// caching is disabled.
-	Cache string `json:"cache,omitempty"`
 }
 
 // MineStats is the wire form of the search counters: the full pruning
@@ -1329,13 +1292,6 @@ type MineStats struct {
 	StealsTaken int64 `json:"steals_taken,omitempty"`
 	// ElapsedMillis is the run's wall time in integer milliseconds.
 	ElapsedMillis int64 `json:"elapsed_ms"`
-	// Elapsed is the same duration as a Go duration string.
-	//
-	// Deprecated: the legacy "elapsed" key predates elapsed_ms and held
-	// a duration string under a name that suggested a millisecond
-	// integer. It is emitted only on the legacy unversioned routes; /v1
-	// responses omit it. Read elapsed_ms instead.
-	Elapsed string `json:"elapsed,omitempty"`
 	// Truncated marks a run cut short by a soft budget; TruncatedBy is
 	// "max_patterns" or "time_budget".
 	Truncated   bool   `json:"truncated,omitempty"`
@@ -1367,33 +1323,10 @@ func (s *Server) recordMineRun(ptype string, st core.Stats, dur time.Duration, e
 	s.met.recordMinerStats(st)
 }
 
-// approxJSONSize sizes a response for the cache budget by encoding it
-// once.
-func approxJSONSize(v any) int64 {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return 0
-	}
-	return int64(len(b))
-}
-
+// handleMine is the one handler of the mine family: temporal,
+// coincidence, and rules mining, whole-dataset or windowed, cached and
+// coalesced identically.
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	s.serveMineFamily(w, r, false)
-}
-
-// handleRules is the deprecated rules route: the same unified handler
-// with the mode defaulted (and pinned) to "rules", so old clients keep
-// working while new ones post mode=rules to the mine route.
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	s.serveMineFamily(w, r, true)
-}
-
-// serveMineFamily is the one handler behind the whole mine family:
-// batch temporal, coincidence, and rules mining, whole-dataset or
-// windowed, cached and coalesced identically. rulesRoute marks requests
-// that came in via the legacy rules route, whose bodies default to
-// rules mode and may not select any other.
-func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRoute bool) {
 	if !s.requireContentType(w, r, "application/json") {
 		return
 	}
@@ -1403,24 +1336,10 @@ func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRo
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if rulesRoute {
-		if spec.Mode == "" && spec.Type == "" {
-			spec.Mode = api.ModeRules
-		} else if spec.ResolvedMode() != api.ModeRules {
-			s.writeError(w, r, http.StatusBadRequest, &fieldError{"mode", fmt.Sprintf(
-				"mode %q posted to the rules route; use POST /v1/datasets/{name}/mine", spec.ResolvedMode())})
-			return
-		}
-	}
 	if err := spec.Validate(); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if spec.LegacyShape() {
-		// The old "type" field still works, but mode supersedes it.
-		w.Header().Set("Deprecation", "true")
-	}
-	mode := spec.ResolvedMode()
 	db, part, ver, ok := s.store.snapshot(name)
 	if !ok {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
@@ -1438,32 +1357,7 @@ func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRo
 		return
 	}
 
-	wdb, wpart := s.windowed(db, part, spec.Window)
-	tgt := mineTarget{db: wdb, part: wpart, name: name, ver: ver, whole: wdb == db}
-	compute := func() (any, int64, bool, error) {
-		if mode == api.ModeRules {
-			out, err := s.runRules(r.Context(), tgt, spec)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			return out, approxJSONSize(out), true, nil
-		}
-		resp, complete, err := s.runMine(r.Context(), tgt, mode, spec)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return resp, approxJSONSize(resp), complete, nil
-	}
-	var (
-		v       any
-		outcome cache.Outcome
-		err     error
-	)
-	if s.results != nil {
-		v, outcome, err = s.results.Do(r.Context(), key, compute)
-	} else {
-		v, _, _, err = compute()
-	}
+	body, complete, outcome, err := s.mineBody(r.Context(), key, db, part, spec)
 	if err != nil {
 		s.writeComputeError(w, r, err)
 		return
@@ -1471,21 +1365,44 @@ func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRo
 	if outcome != "" {
 		w.Header().Set("X-Cache", string(outcome))
 	}
+	if complete {
+		w.Header().Set("ETag", etag)
+	}
+	s.writeJSONBody(w, http.StatusOK, body)
+}
 
-	if mode == api.ModeRules {
-		w.Header().Set("ETag", etag)
-		s.writeJSON(w, http.StatusOK, v.([]WireRule))
-		return
+// mineBody returns the rendered response body of one mine over the
+// snapshot (db, part) that key names, going through the result cache
+// when it is enabled. complete reports whether the body is the full
+// deterministic answer for key — truncated runs are not, and are
+// neither cached nor given an ETag. outcome says how the body was
+// served; it is empty without a cache. base is the requester's context
+// (HTTP request or continuous job).
+func (s *Server) mineBody(base context.Context, key cache.Key, db *interval.Database, part *shard.Partition, spec MineSpec) (body []byte, complete bool, outcome cache.Outcome, err error) {
+	wdb, wpart := s.windowed(db, part, spec.Window)
+	tgt := mineTarget{db: wdb, part: wpart, name: key.Dataset, ver: key.Version, whole: wdb == db}
+	compute := func() ([]byte, bool, error) {
+		var (
+			v    any
+			full = true // rules runs are never truncated
+			err  error
+		)
+		if mode := spec.ResolvedMode(); mode == api.ModeRules {
+			v, err = s.runRules(base, tgt, spec)
+		} else {
+			v, full, err = s.runMine(base, tgt, mode, spec)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		rendered, err := renderJSON(v)
+		return rendered, full, err
 	}
-	resp := *(v.(*MineResponse)) // shallow copy; per-request fields below
-	resp.Cache = string(outcome)
-	if isV1(r) {
-		resp.Stats.Elapsed = "" // dropped from /v1 responses
+	if s.results == nil {
+		body, complete, err = compute()
+		return body, complete, "", err
 	}
-	if !resp.Stats.Truncated {
-		w.Header().Set("ETag", etag)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return s.results.Do(base, key, compute)
 }
 
 // windowed applies a window spec to a dataset snapshot, returning the
@@ -1737,7 +1654,6 @@ func wireStats(st core.Stats) MineStats {
 		PostfixPruned:  st.PostfixPruned,
 		SizePruned:     st.SizePruned,
 		ElapsedMillis:  st.Elapsed.Milliseconds(),
-		Elapsed:        st.Elapsed.String(),
 		Truncated:      st.Truncated,
 		TruncatedBy:    st.TruncatedBy,
 	}
